@@ -251,3 +251,7 @@ def solve(matrix_path: str):
         raise click.UsageError(str(exc)) from None
     click.echo(f"value {_real(result.value)}")
     click.echo("permutation " + " ".join(str(j) for j in result.permutation))
+
+
+if __name__ == "__main__":
+    main()

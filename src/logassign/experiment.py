@@ -95,8 +95,11 @@ class ExperimentConfig:
         object.__setattr__(self, "sizes", sizes)
         if not sizes:
             raise ValueError("sizes must be nonempty")
-        if any(n < 2 for n in sizes):
-            raise ValueError("every size must be at least 2")
+        if any(n < 3 for n in sizes):
+            raise ValueError(
+                "every size must be at least 3: the asymptotic prediction "
+                "needs n >= 3"
+            )
         if any(b <= a for a, b in zip(sizes, sizes[1:])):
             raise ValueError("sizes must be strictly increasing")
         if max(sizes) >= 2**32:

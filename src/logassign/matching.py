@@ -1,9 +1,12 @@
 """Exact solvers for the maximum-total-cost assignment problem.
 
 A cost matrix is any square array of finite reals; an assignment maps each
-row to a distinct column.  The production solver runs in O(n^3) via shortest
-augmenting paths on dual potentials, and a factorial-time enumerator is kept
-alongside as an independent oracle for small instances.
+row to a distinct column.  The production solver is scipy's
+``linear_sum_assignment``, an O(n^3) shortest-augmenting-path method (Crouse,
+"On implementing 2D rectangular assignment algorithms", IEEE TAES 2016); the
+value it reports is re-summed in row order from the permutation.  A
+factorial-time enumerator is kept alongside as an independent oracle for
+small instances.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 __all__ = [
     "MAX_BRUTE_FORCE_SIZE",
@@ -71,12 +75,14 @@ def assignment_value(matrix, permutation) -> float:
 def solve_max_assignment(matrix) -> Assignment:
     """Find a maximum-value assignment in O(n^3) time.
 
-    Internally negates the matrix and runs a shortest-augmenting-path
-    search with dual potentials, one augmentation per row.  The returned
-    value is recomputed from the permutation with :func:`assignment_value`.
+    The permutation comes from scipy's ``linear_sum_assignment`` with
+    ``maximize=True`` (Crouse 2016).  The returned value is re-summed in row
+    order from that permutation with :func:`assignment_value`, so it does
+    not depend on how the solver accumulates costs.  Among tied optima the
+    permutation returned is unspecified.
     """
     m = as_cost_matrix(matrix)
-    column_of_row = _min_cost_matching(-m)
+    _, column_of_row = linear_sum_assignment(m, maximize=True)
     permutation = tuple(int(j) for j in column_of_row)
     return Assignment(permutation=permutation, value=assignment_value(m, permutation))
 
@@ -108,55 +114,3 @@ def brute_force_max_assignment(matrix) -> Assignment:
     assert best_perm is not None
     return Assignment(permutation=best_perm, value=best_value)
 
-
-def _min_cost_matching(cost: np.ndarray) -> np.ndarray:
-    """Column choice per row minimizing total cost, by successive shortest paths.
-
-    Dual feasibility (cost[i, j] - u[i] - v[j] >= 0 over matched rows) is
-    maintained after every augmentation, which keeps each Dijkstra sweep
-    valid despite the unrestricted sign of the inputs.
-    """
-    n = cost.shape[0]
-    u = np.zeros(n)
-    v = np.zeros(n)
-    column_of_row = np.full(n, -1, dtype=np.int64)
-    row_of_column = np.full(n, -1, dtype=np.int64)
-    for start_row in range(n):
-        shortest = np.full(n, np.inf)
-        parent_row = np.full(n, -1, dtype=np.int64)
-        unvisited = np.ones(n, dtype=bool)
-        row_in_tree = np.zeros(n, dtype=bool)
-        distance = 0.0
-        i = start_row
-        sink = -1
-        while sink < 0:
-            row_in_tree[i] = True
-            reduced = distance + cost[i] - u[i] - v
-            improve = unvisited & (reduced < shortest)
-            shortest[improve] = reduced[improve]
-            parent_row[improve] = i
-            frontier = np.where(unvisited, shortest, np.inf)
-            j = int(np.argmin(frontier))
-            distance = float(frontier[j])
-            if not math.isfinite(distance):
-                raise RuntimeError("augmenting path search stalled on a finite matrix")
-            unvisited[j] = False
-            if row_of_column[j] < 0:
-                sink = j
-            else:
-                i = int(row_of_column[j])
-        u[start_row] += distance
-        grown = row_in_tree.copy()
-        grown[start_row] = False
-        tree_rows = np.flatnonzero(grown)
-        u[tree_rows] += distance - shortest[column_of_row[tree_rows]]
-        seen_columns = ~unvisited
-        v[seen_columns] -= distance - shortest[seen_columns]
-        j = sink
-        while True:
-            i = int(parent_row[j])
-            row_of_column[j] = i
-            column_of_row[i], j = j, int(column_of_row[i])
-            if i == start_row:
-                break
-    return column_of_row

@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import logassign
 from logassign import parse_report_csv
 from logassign.cli import main, parse_sizes
 
@@ -104,6 +109,35 @@ def test_simulate_json_and_file_output(tmp_path) -> None:
 def test_simulate_rejects_bad_replicates() -> None:
     result = _run("simulate", "exp", "--sizes", "3", "--replicates", "1")
     assert result.exit_code == 2
+
+
+def test_simulate_rejects_size_two_before_simulating() -> None:
+    result = _run("simulate", "exp", "--sizes", "2,5", "--replicates", "4")
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "asymptotic prediction" in result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("module", ["logassign", "logassign.cli"])
+def test_python_dash_m_runs_the_cli(module: str) -> None:
+    # The child must import the same package under test, installed or not.
+    package_root = str(Path(logassign.__file__).resolve().parent.parent)
+    search_path = [package_root, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, search_path))}
+    completed = subprocess.run(
+        [sys.executable, "-m", module, "predict", "exp", "100"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=False,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.startswith(
+        "n,quantile_numeric,quantile_asymptotic,"
+        "predicted_numeric,predicted_asymptotic\n"
+    )
 
 
 def test_compare_summarizes_saved_report(tmp_path) -> None:

@@ -46,6 +46,9 @@ def test_config_validation() -> None:
         _config(sizes=(3, 3))
     with pytest.raises(ValueError):
         _config(sizes=(1, 5))
+    # n = 2 would simulate, but the report's asymptotic column needs n >= 3.
+    with pytest.raises(ValueError, match="asymptotic prediction"):
+        _config(sizes=(2, 5))
     with pytest.raises(ValueError):
         _config(replicates=1)
     with pytest.raises(ValueError):

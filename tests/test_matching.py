@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,43 @@ def test_solver_matches_brute_force_on_random_instances() -> None:
             fast = solve_max_assignment(matrix)
             slow = brute_force_max_assignment(matrix)
             assert abs(fast.value - slow.value) <= 1e-12
+
+
+def test_solver_matches_brute_force_on_tied_instances() -> None:
+    # Small integer entries make many optima tie; the solver may break those
+    # ties however it likes, so only the value is compared.
+    rng = np.random.default_rng(31)
+    for n in range(2, 9):
+        for _ in range(10):
+            matrix = rng.integers(0, 3, size=(n, n)).astype(float)
+            fast = solve_max_assignment(matrix)
+            assert sorted(fast.permutation) == list(range(n))
+            assert fast.value == brute_force_max_assignment(matrix).value
+        flat = solve_max_assignment(np.ones((n, n)))
+        assert sorted(flat.permutation) == list(range(n))
+        assert flat.value == n
+
+
+# n * Var(minimum) of the Exp(1) assignment tends to 4 * (zeta(2) - zeta(3)).
+_EXP_MIN_LIMITING_N_VAR = 4.0 * (math.pi**2 / 6.0 - 1.2020569031595942)
+
+
+@pytest.mark.parametrize(
+    "n, replicates",
+    [(200, 100), pytest.param(1000, 30, marks=pytest.mark.slow)],
+)
+def test_exponential_costs_match_the_exact_mean_minimum(n, replicates) -> None:
+    # For i.i.d. Exp(1) costs the expected minimum assignment is exactly
+    # sum_{k<=n} 1/k^2 (Linusson & Waestlund 2004; Nair, Prabhakar & Sharma
+    # 2005), an oracle far past the brute-force limit.
+    rng = np.random.default_rng(0)
+    minima = [
+        -solve_max_assignment(-rng.exponential(size=(n, n))).value
+        for _ in range(replicates)
+    ]
+    exact = sum(1.0 / k**2 for k in range(1, n + 1))
+    sigma = math.sqrt(_EXP_MIN_LIMITING_N_VAR / n / replicates)
+    assert abs(float(np.mean(minima)) - exact) <= 4.0 * sigma
 
 
 def test_row_shift_moves_value_by_exactly_that_amount() -> None:
