@@ -18,6 +18,7 @@ from .experiment import (
     QUENCHED,
     ExperimentConfig,
     ReplicateError,
+    _real,
     asymptotic_prediction,
     compare_report,
     parse_report_csv,
@@ -28,6 +29,7 @@ from .experiment import (
 from .gains import QuadratureError, parse_model_spec, sample_cost, MODEL_SPEC_GRAMMAR
 from .matching import solve_max_assignment
 from .quantile import (
+    _DOUBLE_LOG_GUARD,
     BracketError,
     asymptotic_quantile,
     tail_probability,
@@ -44,11 +46,6 @@ _SIZES_HELP = (
     "10..100:10 (inclusive of b when step divides b-a)."
 )
 _TAIL_CHECK_CONTEXT = 2
-_DOUBLE_LOG_GUARD = math.exp(-math.e)
-
-
-def _real(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _fail(code: int, message: str):

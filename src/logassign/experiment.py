@@ -6,15 +6,22 @@ numbers cannot depend on scheduling; workers may run in any order and the
 report still comes out bit-identical.  Quenched runs key one extra stream
 per size from (master seed, size) for the frozen gain matrix and leave the
 replicate streams untouched, which makes a constant-gain quenched run
-coincide exactly with its annealed twin.
+coincide exactly with its annealed twin.  Each process draws that matrix
+itself from its keyed stream, once per size, so no matrix is ever shipped
+to a worker.
+
+A run with ``parallelism > 1`` opens one process pool for all its sizes,
+and the parent computes the predictions while the workers solve.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
+import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -75,8 +82,10 @@ class ReplicateError(RuntimeError):
 
     def __init__(self, n: int, replicate: int, reason: str):
         super().__init__(f"replicate {replicate} at n = {n} failed: {reason}")
-        self.n = n
-        self.replicate = replicate
+        self.n, self.replicate, self.reason = n, replicate, reason
+
+    def __reduce__(self):
+        return type(self), (self.n, self.replicate, self.reason)
 
 
 @dataclass(frozen=True)
@@ -120,6 +129,12 @@ class ExperimentConfig:
         if int(self.parallelism) < 1:
             raise ValueError("parallelism must be at least 1")
         object.__setattr__(self, "parallelism", int(self.parallelism))
+        if self.parallelism > 1:
+            try:
+                pickle.dumps(self.model)
+            except (pickle.PicklingError, AttributeError, TypeError) as exc:
+                raise ValueError(f"model cannot be sent to worker processes ({exc}); "
+                                 "use parallelism=1 or a module-level density") from None
 
 
 @dataclass(frozen=True)
@@ -151,11 +166,23 @@ def replicate_stream(
     return np.random.Generator(np.random.Philox(key=key))
 
 
+@functools.lru_cache(maxsize=1)
+def _quenched_gains(model: GainModel, n: int, master_seed: int) -> np.ndarray:
+    rng = replicate_stream(master_seed, n, 0, purpose=_PURPOSE_QUENCHED_GAINS)
+    gains = model.sample(rng, size=(n, n))
+    gains.flags.writeable = False
+    return gains
+
+
 def _replicate_value(args) -> float:
-    model, n, replicate, master_seed, gain_matrix = args
-    rng = replicate_stream(master_seed, n, replicate)
-    matrix = generate_cost_matrix(model, n, rng, gain_matrix=gain_matrix)
-    return solve_max_assignment(matrix).value
+    model, n, replicate, master_seed, mode = args
+    try:
+        gains = _quenched_gains(model, n, master_seed) if mode == QUENCHED else None
+        rng = replicate_stream(master_seed, n, replicate)
+        matrix = generate_cost_matrix(model, n, rng, gain_matrix=gains)
+        return solve_max_assignment(matrix).value
+    except Exception as exc:
+        raise ReplicateError(n, replicate, str(exc)) from exc
 
 
 def _compensated_sum(values) -> float:
@@ -173,55 +200,40 @@ def _compensated_sum(values) -> float:
     return total + correction
 
 
-def _optimum_values(config: ExperimentConfig, n: int, gain_matrix) -> list[float]:
-    tasks = [
-        (config.model, n, rep, config.master_seed, gain_matrix)
-        for rep in range(config.replicates)
-    ]
-    values: list[float] = []
-    if config.parallelism == 1:
-        for rep, task in enumerate(tasks):
-            try:
-                values.append(_replicate_value(task))
-            except Exception as exc:
-                raise ReplicateError(n, rep, str(exc)) from exc
-        return values
-    chunk = max(1, config.replicates // (4 * config.parallelism))
-    with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
-        results = pool.map(_replicate_value, tasks, chunksize=chunk)
-        rep = 0
-        try:
-            for value in results:
-                values.append(value)
-                rep += 1
-        except Exception as exc:
-            raise ReplicateError(n, rep, str(exc)) from exc
-    return values
-
-
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Simulate every configured size and attach both predictions.
 
-    Replicate optima are aggregated in replicate order with compensated
-    summation after all workers finish, so reports do not vary with
-    ``parallelism``.  Any replicate failure aborts the run with the failing
-    (n, replicate) pair in the raised :class:`ReplicateError`.
+    All replicates of all sizes go to one process pool (none when
+    ``parallelism == 1``); the parent computes the predictions while the
+    workers solve.  Replicate optima are aggregated in replicate order with
+    compensated summation, so reports do not vary with ``parallelism``.
+    Any replicate failure aborts the run, cancels the replicates still
+    queued, and raises the worker's :class:`ReplicateError`, which names
+    the failing (n, replicate) pair.
     """
+    m, model = config.replicates, config.model
+    tasks = [(model, n, rep, config.master_seed, config.mode)
+             for n in config.sizes for rep in range(m)]
+    pool = None
+    try:
+        if config.parallelism == 1:
+            results = map(_replicate_value, tasks)
+        else:
+            pool = ProcessPoolExecutor(max_workers=config.parallelism)
+            chunk = max(1, m // (4 * config.parallelism))
+            results = pool.map(_replicate_value, tasks, chunksize=chunk)
+        predictions = [(predicted_max(model, n), asymptotic_prediction(model, n))
+                       for n in config.sizes]
+        optima = list(results)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     rows = []
-    m = config.replicates
-    for n in config.sizes:
-        gain_matrix = None
-        if config.mode == QUENCHED:
-            rng = replicate_stream(
-                config.master_seed, n, 0, purpose=_PURPOSE_QUENCHED_GAINS
-            )
-            gain_matrix = config.model.sample(rng, size=(n, n))
-        values = _optimum_values(config, n, gain_matrix)
+    for i, (n, (numeric, asymptotic)) in enumerate(zip(config.sizes, predictions)):
+        values = optima[i * m : (i + 1) * m]
         mean = _compensated_sum(values) / m
         spread = _compensated_sum([(x - mean) ** 2 for x in values])
         std_error = math.sqrt(spread / (m - 1)) / math.sqrt(m)
-        numeric = predicted_max(config.model, n)
-        asymptotic = asymptotic_prediction(config.model, n)
         rows.append(
             ReportRow(
                 n=n,
@@ -234,7 +246,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             )
         )
     return ExperimentReport(
-        model=model_spec_string(config.model),
+        model=model_spec_string(model),
         mode=config.mode,
         replicates=m,
         master_seed=config.master_seed,
@@ -247,21 +259,18 @@ def asymptotic_prediction(model: GainModel, n: int) -> float:
 
     Defined for n >= 3 so the iterated logarithm is positive; it only
     becomes a serious approximation once log log n clears 1 (n >= 16).
+    A model with no closed-form law (a density) gives NaN.
     """
     n = int(n)
     if n < 3:
         raise ValueError("asymptotic prediction needs n >= 3")
-    if isinstance(model, ConstantGain):
+    if isinstance(model, (ConstantGain, UniformGain)):
         return n * math.log(math.log(n))
     if isinstance(model, ExponentialGain):
         return 2.0 * n * math.log(math.log(n))
     if isinstance(model, ParetoGain):
         return n * math.log(n) / (model.alpha - 1.0)
-    if isinstance(model, UniformGain):
-        return n * math.log(math.log(n))
-    raise ValueError(
-        f"no closed-form growth law for {type(model).__name__}"
-    )
+    return math.nan
 
 
 def _real(x: float) -> str:

@@ -95,6 +95,14 @@ def test_simulate_jobs_flag_leaves_output_unchanged() -> None:
     assert _run(*base, "--jobs", "2").output == _run(*base, "--jobs", "1").output
 
 
+def test_simulate_quenched_jobs_flag_leaves_output_unchanged() -> None:
+    base = ("simulate", "pareto:3", "--mode", "quenched", "--sizes", "4,6,8",
+            "--replicates", "10")
+    serial = _run(*base, "--jobs", "1")
+    assert serial.exit_code == 0
+    assert _run(*base, "--jobs", "2").output == serial.output
+
+
 def test_simulate_json_and_file_output(tmp_path) -> None:
     out = tmp_path / "report.json"
     result = _run("simulate", "uniform", "--sizes", "3", "--replicates", "5",

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import math
+import pickle
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from logassign import (
     ConstantGain,
+    DensityGain,
     ExperimentConfig,
     ExponentialGain,
     GainModel,
@@ -23,7 +27,40 @@ from logassign import (
     report_json_text,
     run_experiment,
 )
+from logassign import experiment
 from logassign.experiment import _compensated_sum
+
+
+@dataclass(frozen=True)
+class FlakyGain(ExponentialGain):
+    """Exponential gains that fail on every replicate whose first draw is small.
+
+    Defined at module level so that pool workers can unpickle it.
+    """
+
+    def sample(self, rng, size=None):
+        gains = super().sample(rng, size)
+        if np.ravel(gains)[0] < 0.05:
+            raise RuntimeError("unlucky draw")
+        return gains
+
+
+def _flat_density(y: float) -> float:
+    return 1.0
+
+
+@pytest.fixture
+def pool_starts(monkeypatch) -> list:
+    """Record every process pool that the experiment module constructs."""
+    started = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", CountingPool)
+    return started
 
 
 def _config(**overrides) -> ExperimentConfig:
@@ -61,6 +98,16 @@ def test_config_validation() -> None:
         _config(master_seed=2**64)
 
 
+def test_unpicklable_model_is_rejected_before_any_pool_starts(pool_starts) -> None:
+    local = DensityGain(density=lambda y: 1.0, lower=0.5, upper=1.5)
+    with pytest.raises(ValueError, match="parallelism=1") as info:
+        _config(model=local, parallelism=2)
+    assert "worker processes" in str(info.value)
+    assert pool_starts == []
+    # The same model is fine in process.
+    assert _config(model=local, parallelism=1).parallelism == 1
+
+
 def test_identical_configs_give_identical_reports() -> None:
     assert run_experiment(_config()) == run_experiment(_config())
 
@@ -69,6 +116,13 @@ def test_parallelism_does_not_change_the_report() -> None:
     serial = run_experiment(_config(sizes=(4, 7), replicates=12, parallelism=1))
     parallel = run_experiment(_config(sizes=(4, 7), replicates=12, parallelism=3))
     assert serial == parallel
+
+
+def test_one_pool_per_run_and_none_in_process(pool_starts) -> None:
+    run_experiment(_config(sizes=(3, 4, 6), replicates=8, parallelism=2))
+    assert pool_starts == [2]
+    run_experiment(_config(sizes=(3, 4, 6), replicates=8, parallelism=1))
+    assert pool_starts == [2]
 
 
 def test_quenched_constant_gain_equals_annealed() -> None:
@@ -129,6 +183,42 @@ def test_failed_replicate_aborts_with_location() -> None:
         run_experiment(_config(model=ExplodingGain(), sizes=(4,)))
     assert info.value.n == 4
     assert info.value.replicate == 0
+
+
+def test_replicate_error_survives_pickling() -> None:
+    error = pickle.loads(pickle.dumps(ReplicateError(5, 1, "x")))
+    assert isinstance(error, ReplicateError)
+    assert (error.n, error.replicate, error.reason) == (5, 1, "x")
+    assert str(error) == str(ReplicateError(5, 1, "x"))
+
+
+def test_failed_replicate_is_located_exactly_under_a_pool() -> None:
+    settings = dict(model=FlakyGain(), sizes=(3, 5), replicates=40, master_seed=0)
+    # 40 replicates on 2 workers go out in chunks of 5; a failure inside a
+    # chunk, not at its start, tells an exact location from a chunk's first.
+    errors = []
+    for parallelism in (1, 2):
+        with pytest.raises(ReplicateError) as info:
+            run_experiment(_config(**settings, parallelism=parallelism))
+        errors.append((info.value.n, info.value.replicate, str(info.value)))
+    assert errors[0] == errors[1]
+    assert errors[0][1] % 5 != 0
+    assert "unlucky draw" in errors[0][2]
+
+
+def test_density_run_reports_nan_asymptotics() -> None:
+    flat = DensityGain(density=_flat_density, lower=0.5, upper=1.5)
+    report = run_experiment(_config(model=flat, sizes=(3, 5), parallelism=2))
+    assert report.model == "density"
+    for row in report.rows:
+        assert math.isfinite(row.empirical_mean)
+        assert math.isfinite(row.predicted_numeric)
+        assert math.isfinite(row.rel_err_numeric)
+        assert math.isnan(row.predicted_asymptotic)
+        assert math.isnan(row.rel_err_asymptotic)
+    assert math.isnan(asymptotic_prediction(flat, 10))
+    with pytest.raises(ValueError):
+        asymptotic_prediction(flat, 2)
 
 
 def test_compensated_sum_beats_naive_accumulation() -> None:
