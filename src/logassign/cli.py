@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import click
@@ -168,7 +169,7 @@ def simulate(model_spec, sizes_text, replicates, mode, seed, jobs, fmt, output):
         raise click.UsageError(str(exc)) from None
     try:
         report = run_experiment(config)
-    except ReplicateError as exc:
+    except (ReplicateError, BrokenProcessPool) as exc:
         _fail(EXIT_SIMULATION, str(exc))
     except (BracketError, QuadratureError) as exc:
         _fail(EXIT_NUMERIC, str(exc))

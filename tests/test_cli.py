@@ -7,13 +7,14 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 import logassign
-from logassign import parse_report_csv
+from logassign import ExponentialGain, cli, parse_report_csv
 from logassign.cli import main, parse_sizes
 
 
@@ -101,6 +102,27 @@ def test_simulate_quenched_jobs_flag_leaves_output_unchanged() -> None:
     serial = _run(*base, "--jobs", "1")
     assert serial.exit_code == 0
     assert _run(*base, "--jobs", "2").output == serial.output
+
+
+_TEST_PID = os.getpid()
+
+
+@dataclass(frozen=True)
+class DyingGain(ExponentialGain):
+    """Exponential gains whose draw kills any process but the test's own."""
+
+    def sample(self, rng, size=None):
+        if os.getpid() != _TEST_PID:
+            os._exit(1)
+        return super().sample(rng, size)
+
+
+def test_simulate_reports_a_dead_worker_without_a_traceback(monkeypatch) -> None:
+    monkeypatch.setattr(cli, "parse_model_spec", lambda spec: DyingGain())
+    result = _run("simulate", "exp", "--sizes", "3,4", "--replicates", "4", "--jobs", "2")
+    assert result.exit_code == cli.EXIT_SIMULATION
+    assert "error: " in result.output and "terminated abruptly" in result.output
+    assert "Traceback" not in result.output
 
 
 def test_simulate_json_and_file_output(tmp_path) -> None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -43,6 +44,23 @@ class FlakyGain(ExponentialGain):
         if np.ravel(gains)[0] < 0.05:
             raise RuntimeError("unlucky draw")
         return gains
+
+
+_TEST_PID = os.getpid()
+
+
+@dataclass(frozen=True)
+class ParentDrawnGain(ParetoGain):
+    """Pareto gains that refuse to be drawn outside the test process.
+
+    In a quenched run, workers draw only fades, so a pool worker that draws
+    gains would be drawing a frozen gain matrix the parent already drew.
+    """
+
+    def sample(self, rng, size=None):
+        if os.getpid() != _TEST_PID:
+            raise RuntimeError("gains drawn in a worker")
+        return super().sample(rng, size)
 
 
 def _flat_density(y: float) -> float:
@@ -98,12 +116,11 @@ def test_config_validation() -> None:
         _config(master_seed=2**64)
 
 
-def test_unpicklable_model_is_rejected_before_any_pool_starts(pool_starts) -> None:
+def test_unpicklable_model_is_rejected_up_front() -> None:
     local = DensityGain(density=lambda y: 1.0, lower=0.5, upper=1.5)
     with pytest.raises(ValueError, match="parallelism=1") as info:
         _config(model=local, parallelism=2)
     assert "worker processes" in str(info.value)
-    assert pool_starts == []
     # The same model is fine in process.
     assert _config(model=local, parallelism=1).parallelism == 1
 
@@ -123,6 +140,13 @@ def test_one_pool_per_run_and_none_in_process(pool_starts) -> None:
     assert pool_starts == [2]
     run_experiment(_config(sizes=(3, 4, 6), replicates=8, parallelism=1))
     assert pool_starts == [2]
+
+
+def test_pool_workers_get_frozen_gains_from_the_parent() -> None:
+    settings = dict(model=ParentDrawnGain(alpha=3.0), sizes=(3, 4, 6), replicates=8,
+                    mode="quenched")
+    serial = run_experiment(_config(**settings, parallelism=1))
+    assert run_experiment(_config(**settings, parallelism=2)) == serial
 
 
 def test_quenched_constant_gain_equals_annealed() -> None:
