@@ -19,6 +19,7 @@ from .experiment import (
     QUENCHED,
     ExperimentConfig,
     ReplicateError,
+    _json_text,
     _real,
     asymptotic_prediction,
     compare_report,
@@ -29,13 +30,7 @@ from .experiment import (
 )
 from .gains import QuadratureError, parse_model_spec, sample_cost, MODEL_SPEC_GRAMMAR
 from .matching import solve_max_assignment
-from .quantile import (
-    _DOUBLE_LOG_GUARD,
-    BracketError,
-    asymptotic_quantile,
-    tail_probability,
-    tail_quantile,
-)
+from .quantile import BracketError, asymptotic_quantile, tail_probability, tail_quantile
 
 EXIT_NUMERIC = 3
 EXIT_SIMULATION = 4
@@ -47,11 +42,21 @@ _SIZES_HELP = (
     "10..100:10 (inclusive of b when step divides b-a)."
 )
 _TAIL_CHECK_CONTEXT = 2
+_PREDICT_COLUMNS = ("n", "quantile_numeric", "quantile_asymptotic", "predicted_numeric",
+                    "predicted_asymptotic")
 
 
 def _fail(code: int, message: str):
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
+
+
+def _or_nan(law, model, x) -> float:
+    """The closed-form law at x, or NaN outside its domain."""
+    try:
+        return law(model, x)
+    except ValueError:
+        return math.nan
 
 
 def _model(spec: str):
@@ -96,45 +101,27 @@ def main():
 def predict(model_spec: str, sizes_text: str, fmt: str):
     model = _model(model_spec)
     sizes = parse_sizes(sizes_text)
-    if any(n < 2 for n in sizes):
-        raise click.UsageError("every size must be at least 2")
+    # Above 2**53 a size is no longer an exact float, and 1/n or n * q(1/n)
+    # would describe some other size, or overflow.
+    if any(not 2 <= n < 2**53 for n in sizes):
+        raise click.UsageError("every size must be at least 2 and below 2**53")
     records = []
     try:
         for n in sizes:
             level = 1.0 / n
             numeric = tail_quantile(model, level).r
-            sharp = (
-                asymptotic_quantile(model, level)
-                if level < _DOUBLE_LOG_GUARD
-                else math.nan
-            )
-            try:
-                growth = asymptotic_prediction(model, n)
-            except ValueError:
-                growth = math.nan
+            sharp = _or_nan(asymptotic_quantile, model, level)
+            growth = _or_nan(asymptotic_prediction, model, n)
             records.append((n, numeric, sharp, n * numeric, growth))
     except (BracketError, QuadratureError) as exc:
         _fail(EXIT_NUMERIC, str(exc))
     if fmt == "json":
-        import json
-
-        payload = [
-            {
-                "n": n,
-                "quantile_numeric": a,
-                "quantile_asymptotic": b,
-                "predicted_numeric": c,
-                "predicted_asymptotic": d,
-            }
-            for n, a, b, c, d in records
-        ]
-        click.echo(json.dumps(payload, indent=2))
+        click.echo(_json_text([dict(zip(_PREDICT_COLUMNS, record)) for record in records]),
+                   nl=False)
         return
-    click.echo(
-        "n,quantile_numeric,quantile_asymptotic,predicted_numeric,predicted_asymptotic"
-    )
-    for n, a, b, c, d in records:
-        click.echo(f"{n},{_real(a)},{_real(b)},{_real(c)},{_real(d)}")
+    click.echo(",".join(_PREDICT_COLUMNS))
+    for n, *reals in records:
+        click.echo(",".join([str(n), *map(_real, reals)]))
 
 
 @main.command(help=f"Run the Monte Carlo experiment.\n\n{_MODEL_HELP}\n\n{_SIZES_HELP}")
@@ -209,6 +196,8 @@ def tail_check(model_spec, thresholds, samples, seed):
     samples = int(samples)
     if samples < 10_000:
         raise click.UsageError("need at least 10000 samples")
+    if not 0 <= seed < 2**64:
+        raise click.UsageError("seed must fit in an unsigned 64-bit integer")
     key = np.array([int(seed), _TAIL_CHECK_CONTEXT], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     costs = sample_cost(model, rng, size=samples)

@@ -23,19 +23,11 @@ import json
 import math
 import pickle
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .gains import (
-    ConstantGain,
-    ExponentialGain,
-    GainModel,
-    ParetoGain,
-    UniformGain,
-    generate_cost_matrix,
-    model_spec_string,
-)
+from .gains import GainModel, generate_cost_matrix, model_spec_string
 from .matching import solve_max_assignment
 from .quantile import predicted_max
 
@@ -284,17 +276,28 @@ def asymptotic_prediction(model: GainModel, n: int) -> float:
     n = int(n)
     if n < 3:
         raise ValueError("asymptotic prediction needs n >= 3")
-    if isinstance(model, (ConstantGain, UniformGain)):
-        return n * math.log(math.log(n))
-    if isinstance(model, ExponentialGain):
-        return 2.0 * n * math.log(math.log(n))
-    if isinstance(model, ParetoGain):
-        return n * math.log(n) / (model.alpha - 1.0)
-    return math.nan
+    return model._growth_law(n)
 
 
 def _real(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _json_text(records: list[dict]) -> str:
+    """Strict JSON: NaN, which JSON cannot carry, is written as null."""
+    records = [
+        {key: None if isinstance(value, float) and math.isnan(value) else value
+         for key, value in record.items()}
+        for record in records
+    ]
+    return json.dumps(records, indent=2, allow_nan=False) + "\n"
+
+
+def _report_records(report: ExperimentReport):
+    """Yield each row of the report as a tuple in ``REPORT_COLUMNS`` order."""
+    for row in report.rows:
+        yield (report.model, report.mode, row.n, report.replicates,
+               report.master_seed, *astuple(row)[1:])
 
 
 def report_csv_text(report: ExperimentReport) -> str:
@@ -302,22 +305,8 @@ def report_csv_text(report: ExperimentReport) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(REPORT_COLUMNS)
-    for row in report.rows:
-        writer.writerow(
-            [
-                report.model,
-                report.mode,
-                str(row.n),
-                str(report.replicates),
-                str(report.master_seed),
-                _real(row.empirical_mean),
-                _real(row.std_error),
-                _real(row.predicted_numeric),
-                _real(row.predicted_asymptotic),
-                _real(row.rel_err_numeric),
-                _real(row.rel_err_asymptotic),
-            ]
-        )
+    for record in _report_records(report):
+        writer.writerow([_real(x) if isinstance(x, float) else str(x) for x in record])
     return out.getvalue()
 
 
@@ -337,53 +326,22 @@ def parse_report_csv(text: str) -> ExperimentReport:
             continue
         if len(record) != len(REPORT_COLUMNS):
             raise ValueError(f"malformed report line {record!r}")
-        this_meta = (record[0], record[1], int(record[3]), int(record[4]))
+        model, mode, n, m, seed, *floats = record
+        this_meta = (model, mode, int(m), int(seed))
         if meta is None:
             meta = this_meta
         elif meta != this_meta:
             raise ValueError("report mixes runs with different metadata")
-        rows.append(
-            ReportRow(
-                n=int(record[2]),
-                empirical_mean=float(record[5]),
-                std_error=float(record[6]),
-                predicted_numeric=float(record[7]),
-                predicted_asymptotic=float(record[8]),
-                rel_err_numeric=float(record[9]),
-                rel_err_asymptotic=float(record[10]),
-            )
-        )
+        rows.append(ReportRow(int(n), *map(float, floats)))
     if meta is None:
         raise ValueError("report has no data rows")
-    return ExperimentReport(
-        model=meta[0],
-        mode=meta[1],
-        replicates=meta[2],
-        master_seed=meta[3],
-        rows=tuple(rows),
-    )
+    return ExperimentReport(*meta, rows=tuple(rows))
 
 
 def report_json_text(report: ExperimentReport) -> str:
-    """JSON rendering mirroring the CSV fields one for one."""
-    records = []
-    for row in report.rows:
-        records.append(
-            {
-                "model": report.model,
-                "mode": report.mode,
-                "n": row.n,
-                "m": report.replicates,
-                "seed": report.master_seed,
-                "empirical_mean": row.empirical_mean,
-                "std_error": row.std_error,
-                "predicted_numeric": row.predicted_numeric,
-                "predicted_asymptotic": row.predicted_asymptotic,
-                "rel_err_numeric": row.rel_err_numeric,
-                "rel_err_asymptotic": row.rel_err_asymptotic,
-            }
-        )
-    return json.dumps(records, indent=2) + "\n"
+    """JSON rendering mirroring the CSV fields one for one; NaN is null."""
+    return _json_text([dict(zip(REPORT_COLUMNS, record))
+                       for record in _report_records(report)])
 
 
 def compare_report(report: ExperimentReport) -> str:

@@ -78,7 +78,16 @@ def _checked_log(total: float, estimate: float, label: str) -> float:
 
 
 class GainModel:
-    """Law of the nonnegative gain coefficient attached to each link."""
+    """Law of the nonnegative gain coefficient attached to each link.
+
+    A law defines ``sample``, ``_log_laplace`` and ``spec``, the name it
+    carries in reports.  A law with closed forms also defines
+    ``_log_laplace_asymptotic``, ``_quantile_law`` and ``_growth_law``;
+    without them it still simulates and predicts numerically, and its
+    asymptotic prediction is NaN.
+    """
+
+    spec: str
 
     def sample(self, rng: np.random.Generator, size=None):
         """Draw gains: a float when ``size`` is None, else an ndarray."""
@@ -112,12 +121,26 @@ class GainModel:
     def _log_laplace_asymptotic(self, rho: float) -> float:
         raise NotImplementedError
 
+    def _quantile_law(self, size: float) -> float:
+        """Leading behavior of the tail quantile at level exp(-size)."""
+        raise ValueError(
+            f"gain model {type(self).__name__} has no closed-form asymptotic quantile"
+        )
+
+    def _growth_law(self, n: int) -> float:
+        """One-term growth law of the expected optimum at size n."""
+        return math.nan
+
 
 @dataclass(frozen=True)
 class ConstantGain(GainModel):
     """Every link has the same deterministic gain ``value`` > 0."""
 
     value: float
+
+    @property
+    def spec(self) -> str:
+        return f"constant:{self.value!r}"
 
     def __post_init__(self):
         object.__setattr__(self, "value", float(self.value))
@@ -136,10 +159,18 @@ class ConstantGain(GainModel):
         # Already exact at every rho.
         return -rho / self.value
 
+    def _quantile_law(self, size: float) -> float:
+        return math.log1p(self.value * size)
+
+    def _growth_law(self, n: int) -> float:
+        return n * math.log(math.log(n))
+
 
 @dataclass(frozen=True)
 class ExponentialGain(GainModel):
     """Unit-rate exponential gains."""
+
+    spec = "exp"
 
     def sample(self, rng: np.random.Generator, size=None):
         return rng.exponential(size=size)
@@ -169,10 +200,19 @@ class ExponentialGain(GainModel):
     def _log_laplace_asymptotic(self, rho: float) -> float:
         return 0.5 * math.log(math.pi) + 0.25 * math.log(rho) - 2.0 * math.sqrt(rho)
 
+    def _quantile_law(self, size: float) -> float:
+        # The sharper two-log form log(log(p)**2 / 4), not its crude first term.
+        return math.log(size * size / 4.0)
+
+    def _growth_law(self, n: int) -> float:
+        return 2.0 * n * math.log(math.log(n))
+
 
 @dataclass(frozen=True)
 class UniformGain(GainModel):
     """Gains uniform on (0, 1)."""
+
+    spec = "uniform"
 
     def sample(self, rng: np.random.Generator, size=None):
         return rng.random(size=size)
@@ -194,12 +234,22 @@ class UniformGain(GainModel):
     def _log_laplace_asymptotic(self, rho: float) -> float:
         return -rho - math.log(rho)
 
+    def _quantile_law(self, size: float) -> float:
+        return math.log(size)
+
+    def _growth_law(self, n: int) -> float:
+        return n * math.log(math.log(n))
+
 
 @dataclass(frozen=True)
 class ParetoGain(GainModel):
     """Polynomial-tail gains with density (alpha-1) * y**(-alpha) on [1, inf)."""
 
     alpha: float
+
+    @property
+    def spec(self) -> str:
+        return f"pareto:{self.alpha!r}"
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", float(self.alpha))
@@ -233,6 +283,12 @@ class ParetoGain(GainModel):
         a = self.alpha - 1.0
         return math.log(a) + math.lgamma(a) - a * math.log(rho)
 
+    def _quantile_law(self, size: float) -> float:
+        return size / (self.alpha - 1.0)
+
+    def _growth_law(self, n: int) -> float:
+        return n * math.log(n) / (self.alpha - 1.0)
+
 
 @dataclass(frozen=True)
 class DensityGain(GainModel):
@@ -248,6 +304,8 @@ class DensityGain(GainModel):
     density: Callable[[float], float]
     lower: float
     upper: float
+
+    spec = "density"
 
     def __post_init__(self):
         object.__setattr__(self, "lower", float(self.lower))
@@ -439,15 +497,10 @@ def parse_model_spec(text: str) -> GainModel:
 
 
 def model_spec_string(model: GainModel) -> str:
-    """Canonical spec string; round-trips through :func:`parse_model_spec`."""
-    if isinstance(model, ConstantGain):
-        return f"constant:{model.value!r}"
-    if isinstance(model, ExponentialGain):
-        return "exp"
-    if isinstance(model, ParetoGain):
-        return f"pareto:{model.alpha!r}"
-    if isinstance(model, UniformGain):
-        return "uniform"
-    if isinstance(model, DensityGain):
-        return "density"
-    raise TypeError(f"unknown gain model {type(model).__name__}")
+    """The model's ``spec``, its name in reports.
+
+    For the built-in laws of :data:`MODEL_SPEC_GRAMMAR` it round-trips
+    through :func:`parse_model_spec`; ``density`` and the specs of models
+    defined elsewhere do not parse.
+    """
+    return model.spec

@@ -12,14 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .gains import (
-    ConstantGain,
-    DensityGain,
-    ExponentialGain,
-    GainModel,
-    ParetoGain,
-    UniformGain,
-)
+from .gains import GainModel
 
 __all__ = [
     "BRACKET_WIDTH",
@@ -126,24 +119,13 @@ def asymptotic_quantile(model: GainModel, p: float) -> float:
     """Closed-form leading behavior of the tail quantile as p -> 0.
 
     Guarded to p < exp(-e) so the iterated logarithms involved are all
-    above 1.  The exponential model uses the sharper two-log form
-    log(log(p)**2 / 4) rather than its crude first term.
+    above 1.  Raises ValueError outside that range, and for a model with no
+    closed-form law (a density).
     """
     p = float(p)
     if not 0.0 < p < _DOUBLE_LOG_GUARD:
         raise ValueError("asymptotic quantile needs 0 < p < exp(-e)")
-    size = -math.log(p)
-    if isinstance(model, ConstantGain):
-        return math.log1p(model.value * size)
-    if isinstance(model, ExponentialGain):
-        return math.log(size * size / 4.0)
-    if isinstance(model, ParetoGain):
-        return size / (model.alpha - 1.0)
-    if isinstance(model, UniformGain):
-        return math.log(size)
-    if isinstance(model, DensityGain):
-        raise ValueError("no closed-form asymptotic for a user-supplied density")
-    raise TypeError(f"unknown gain model {type(model).__name__}")
+    return model._quantile_law(-math.log(p))
 
 
 def slow_variation_ratio(model: GainModel, p: float, scale: float) -> float:

@@ -68,6 +68,44 @@ def test_predict_json_format() -> None:
     assert payload[0]["predicted_numeric"] > 0.0
 
 
+def test_predict_json_writes_nan_as_null() -> None:
+    # 1/10 is above the double-log guard, so the sharp asymptotic is NaN.
+    result = _run("predict", "exp", "10", "--format", "json")
+    assert result.exit_code == 0
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    payload = json.loads(result.output, parse_constant=reject)
+    assert payload[0]["quantile_asymptotic"] is None
+    assert payload[0]["predicted_numeric"] > 0.0
+
+
+def test_constant_gain_bytes_are_pinned() -> None:
+    predicted = _run("predict", "constant:0.25", "2,3,16,1000")
+    assert predicted.exit_code == 0
+    assert predicted.output == (
+        "n,quantile_numeric,quantile_asymptotic,predicted_numeric,predicted_asymptotic\n"
+        "2,0.15980903690797277,nan,0.31961807381594554,nan\n"
+        "3,0.24267404133570381,nan,0.72802212400711142,0.28214348285009727\n"
+        "16,0.52658903415431269,0.52658903413904445,8.425424546469003,16.316503048611619\n"
+        "1000,1.0031796685943846,1.0031796686083119,1003.1796685943846,1932.6447339160654\n"
+    )
+    simulated = _run("simulate", "constant:2.5", "--sizes", "3,4,16", "--replicates", "5",
+                     "--seed", "1")
+    assert simulated.exit_code == 0
+    assert simulated.output == (
+        "model,mode,n,m,seed,empirical_mean,std_error,predicted_numeric,"
+        "predicted_asymptotic,rel_err_numeric,rel_err_asymptotic\n"
+        "constant:2.5,annealed,3,5,1,4.8775235234896916,0.26354642572127845,"
+        "3.9624908127298113,0.28214348285009727,0.18760190624466894,0.9421543573308625\n"
+        "constant:2.5,annealed,4,5,1,6.7408441702671071,0.32609282847711235,"
+        "5.9857360663590953,1.3065370399131238,0.11201981307306953,0.80617605051959651\n"
+        "constant:2.5,annealed,16,5,1,32.892587677232953,0.36472581961186684,"
+        "33.133417889941484,16.316503048611619,0.0073217168278683206,0.50394589781985122\n"
+    )
+
+
 def test_predict_rejects_bad_model_with_grammar_hint() -> None:
     result = _run("predict", "gauss", "10")
     assert result.exit_code == 2
@@ -77,6 +115,13 @@ def test_predict_rejects_bad_model_with_grammar_hint() -> None:
 def test_predict_rejects_bad_sizes() -> None:
     assert _run("predict", "exp", "ten").exit_code == 2
     assert _run("predict", "exp", "1,5").exit_code == 2
+
+
+def test_predict_rejects_a_size_too_large_for_a_float() -> None:
+    result = _run("predict", "exp", "1" + "0" * 400)
+    assert result.exit_code == 2
+    assert "below 2**53" in result.output
+    assert "Traceback" not in result.output
 
 
 def test_simulate_emits_parseable_deterministic_csv() -> None:
@@ -215,6 +260,14 @@ def test_tail_check_validates_arguments() -> None:
     assert _run("tail-check", "exp", "--samples", "100").exit_code == 2
     assert _run("tail-check", "exp", "--thresholds", "-1").exit_code == 2
     assert _run("tail-check", "exp", "--thresholds", "x").exit_code == 2
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_tail_check_rejects_a_seed_outside_64_bits(seed: str) -> None:
+    result = _run("tail-check", "exp", "--seed", seed, "--samples", "10000")
+    assert result.exit_code == 2
+    assert "unsigned 64-bit" in result.output
+    assert "Traceback" not in result.output
 
 
 def test_solve_prints_value_and_permutation(tmp_path) -> None:

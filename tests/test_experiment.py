@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import pickle
@@ -21,6 +22,7 @@ from logassign import (
     ReplicateError,
     UniformGain,
     asymptotic_prediction,
+    asymptotic_quantile,
     compare_report,
     parse_report_csv,
     replicate_stream,
@@ -61,6 +63,28 @@ class ParentDrawnGain(ParetoGain):
         if os.getpid() != _TEST_PID:
             raise RuntimeError("gains drawn in a worker")
         return super().sample(rng, size)
+
+
+class TwoPointGain(GainModel):
+    """Gains 1 or 2 with equal odds: a law defined outside the package.
+
+    Defined at module level so that pool workers can unpickle it.
+    """
+
+    spec = "two-point"
+
+    def sample(self, rng, size=None):
+        return 1.0 + (rng.random(size=size) < 0.5)
+
+    def _log_laplace(self, rho):
+        # log of (exp(-rho) + exp(-rho/2)) / 2
+        return -0.5 * rho + math.log1p(math.exp(-0.5 * rho)) - math.log(2.0)
+
+    def _quantile_law(self, size):
+        return math.log1p(2.0 * size)
+
+    def _growth_law(self, n):
+        return n * math.log(math.log(n))
 
 
 def _flat_density(y: float) -> float:
@@ -243,6 +267,37 @@ def test_density_run_reports_nan_asymptotics() -> None:
     assert math.isnan(asymptotic_prediction(flat, 10))
     with pytest.raises(ValueError):
         asymptotic_prediction(flat, 2)
+
+
+def test_report_json_writes_nan_as_null() -> None:
+    flat = DensityGain(density=_flat_density, lower=0.5, upper=1.5)
+    report = run_experiment(_config(model=flat, sizes=(3,)))
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    (record,) = json.loads(report_json_text(report), parse_constant=reject)
+    assert record["predicted_asymptotic"] is None
+    assert record["rel_err_asymptotic"] is None
+    assert record["empirical_mean"] == report.rows[0].empirical_mean
+
+
+def test_a_model_defined_outside_the_package_runs_end_to_end() -> None:
+    model = TwoPointGain()
+    for mode in ("annealed", "quenched"):
+        report = run_experiment(
+            _config(model=model, sizes=(3, 16), mode=mode, parallelism=2)
+        )
+        assert report.model == "two-point"
+        assert parse_report_csv(report_csv_text(report)) == report
+        assert [row.predicted_asymptotic for row in report.rows] == [
+            3 * math.log(math.log(3)), 16 * math.log(math.log(16))
+        ]
+        for row in report.rows:
+            assert math.isfinite(row.empirical_mean)
+            assert math.isfinite(row.rel_err_numeric)
+    assert asymptotic_quantile(model, 1e-4) == math.log1p(2.0 * -math.log(1e-4))
+    assert asymptotic_prediction(model, 100) == 100 * math.log(math.log(100))
 
 
 def test_compensated_sum_beats_naive_accumulation() -> None:
