@@ -30,7 +30,7 @@ from .experiment import (
 )
 from .gains import QuadratureError, parse_model_spec, sample_cost, MODEL_SPEC_GRAMMAR
 from .matching import solve_max_assignment
-from .quantile import BracketError, asymptotic_quantile, tail_probability, tail_quantile
+from .quantile import BracketError, asymptotic_quantile, tail_probability, tail_quantiles
 
 EXIT_NUMERIC = 3
 EXIT_SIMULATION = 4
@@ -42,6 +42,9 @@ _SIZES_HELP = (
     "10..100:10 (inclusive of b when step divides b-a)."
 )
 _TAIL_CHECK_CONTEXT = 2
+# tail-check holds the gains, fades and costs of every draw at once, about
+# 32 bytes per sample, so 10**8 samples already need about 3.2 GB.
+_MAX_SAMPLES = 10**8
 _PREDICT_COLUMNS = ("n", "quantile_numeric", "quantile_asymptotic", "predicted_numeric",
                     "predicted_asymptotic")
 
@@ -105,16 +108,17 @@ def predict(model_spec: str, sizes_text: str, fmt: str):
     # would describe some other size, or overflow.
     if any(not 2 <= n < 2**53 for n in sizes):
         raise click.UsageError("every size must be at least 2 and below 2**53")
-    records = []
+    levels = [1.0 / n for n in sizes]
     try:
-        for n in sizes:
-            level = 1.0 / n
-            numeric = tail_quantile(model, level).r
-            sharp = _or_nan(asymptotic_quantile, model, level)
-            growth = _or_nan(asymptotic_prediction, model, n)
-            records.append((n, numeric, sharp, n * numeric, growth))
+        quantiles = tail_quantiles(model, levels)
     except (BracketError, QuadratureError) as exc:
         _fail(EXIT_NUMERIC, str(exc))
+    records = []
+    for n, level, quantile in zip(sizes, levels, quantiles):
+        numeric = quantile.r
+        sharp = _or_nan(asymptotic_quantile, model, level)
+        growth = _or_nan(asymptotic_prediction, model, n)
+        records.append((n, numeric, sharp, n * numeric, growth))
     if fmt == "json":
         click.echo(_json_text([dict(zip(_PREDICT_COLUMNS, record)) for record in records]),
                    nl=False)
@@ -183,7 +187,8 @@ def compare(report_path: str):
 @click.option("--thresholds", default="0.5,1,2,3", show_default=True,
               help="Comma list of cost thresholds r.")
 @click.option("--samples", default=1_000_000, show_default=True,
-              help="Number of cost draws (at least 10000).")
+              help="Number of cost draws, 10000 to 10**8; each takes about 32 bytes "
+                   "of memory.")
 @click.option("--seed", default=0, show_default=True, help="Master seed.")
 def tail_check(model_spec, thresholds, samples, seed):
     model = _model(model_spec)
@@ -194,8 +199,8 @@ def tail_check(model_spec, thresholds, samples, seed):
     if any(r < 0 or math.isnan(r) for r in grid):
         raise click.UsageError("thresholds must be nonnegative")
     samples = int(samples)
-    if samples < 10_000:
-        raise click.UsageError("need at least 10000 samples")
+    if not 10_000 <= samples <= _MAX_SAMPLES:
+        raise click.UsageError(f"--samples must lie between 10000 and {_MAX_SAMPLES}")
     if not 0 <= seed < 2**64:
         raise click.UsageError("seed must fit in an unsigned 64-bit integer")
     key = np.array([int(seed), _TAIL_CHECK_CONTEXT], dtype=np.uint64)

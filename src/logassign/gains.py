@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -243,7 +244,13 @@ class UniformGain(GainModel):
 
 @dataclass(frozen=True)
 class ParetoGain(GainModel):
-    """Polynomial-tail gains with density (alpha-1) * y**(-alpha) on [1, inf)."""
+    """Polynomial-tail gains with density (alpha-1) * y**(-alpha) on [1, inf).
+
+    For rho >= alpha + 700 the transform's integral no longer depends on
+    rho, so each instance integrates it once, on first use, and reuses the
+    log.  Building an instance runs no quadrature; the cached value takes
+    no part in ``==``, ``hash`` or pickling.
+    """
 
     alpha: float
 
@@ -273,11 +280,29 @@ class ParetoGain(GainModel):
             return math.log(a) + _checked_log(total, estimate, "pareto gain transform")
         # t = rho/y turns the transform into an incomplete-gamma integrand
         # whose scale (rho**-a) factors out of the log exactly.
+        if rho >= self.alpha + 700.0:
+            tail = self._far_tail_log
+        else:
+            tail = self._log_incomplete_gamma(rho)
+        return math.log(a) - a * math.log(rho) + tail
+
+    def _log_incomplete_gamma(self, upper: float) -> float:
+        a = self.alpha - 1.0
         fn = lambda t: t ** (a - 1.0) * math.exp(-t)
-        total, estimate = _integral(fn, 0.0, min(rho, self.alpha + 700.0))
-        return math.log(a) - a * math.log(rho) + _checked_log(
-            total, estimate, "pareto gain transform"
-        )
+        total, estimate = _integral(fn, 0.0, upper)
+        return _checked_log(total, estimate, "pareto gain transform")
+
+    @cached_property
+    def _far_tail_log(self) -> float:
+        # The integral is cut at t = alpha + 700, past which the integrand is
+        # negligible in double precision, so every larger rho shares it.
+        return self._log_incomplete_gamma(self.alpha + 700.0)
+
+    def __getstate__(self):
+        # Pickle the law alone: a copy recomputes the cache when it needs it.
+        state = dict(self.__dict__)
+        state.pop("_far_tail_log", None)
+        return state
 
     def _log_laplace_asymptotic(self, rho: float) -> float:
         a = self.alpha - 1.0

@@ -10,6 +10,7 @@ and diagnostics for how slowly the quantile varies in p.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from .gains import GainModel
@@ -23,6 +24,7 @@ __all__ = [
     "slow_variation_ratio",
     "tail_probability",
     "tail_quantile",
+    "tail_quantiles",
 ]
 
 BRACKET_WIDTH = 1e-10
@@ -51,23 +53,45 @@ class QuantileResult:
 
 
 def tail_quantile(model: GainModel, p: float) -> QuantileResult:
-    """Solve L(e^r - 1) = p for r by bisection.
-
-    The map r -> log L(e^r - 1) is continuous and strictly decreasing from 0,
-    so a bracket found by doubling r is bisected to width ``BRACKET_WIDTH``.
+    """Solve L(e^r - 1) = p for r; ``tail_quantiles`` for one level.
 
     Raises:
         ValueError: unless 0 < p < 1.
         BracketError: if 200 doublings never straddle log p.
     """
-    p = float(p)
-    if not 0.0 < p < 1.0:
+    return tail_quantiles(model, (p,))[0]
+
+
+def tail_quantiles(model: GainModel, levels: Iterable[float]) -> list[QuantileResult]:
+    """Solve L(e^r - 1) = p for r by bisection, at each level p in turn.
+
+    The map r -> log L(e^r - 1) is continuous and strictly decreasing from 0,
+    so a bracket found by doubling r from [0, 1] is bisected to width
+    ``BRACKET_WIDTH``.  Every level starts from the same bracket, so the
+    levels of one call share many points r; each is evaluated once per
+    call and forgotten when it returns.  As ``model.log_laplace`` depends
+    on rho alone, the results equal separate ``tail_quantile`` solves.
+
+    Raises:
+        ValueError: unless 0 < p < 1 for every level, checked before any
+            solve.
+        BracketError: if 200 doublings never straddle log p.
+    """
+    levels = [float(p) for p in levels]
+    if not all(0.0 < p < 1.0 for p in levels):
         raise ValueError("quantile level p must lie strictly between 0 and 1")
-    target = math.log(p)
+    values: dict[float, float] = {}
 
     def defect(r: float) -> float:
-        return model.log_laplace(math.expm1(r))
+        if r not in values:
+            values[r] = model.log_laplace(math.expm1(r))
+        return values[r]
 
+    return [_bisect(defect, p) for p in levels]
+
+
+def _bisect(defect: Callable[[float], float], p: float) -> QuantileResult:
+    target = math.log(p)
     low, high = 0.0, 1.0
     value_high = defect(high)
     doublings = 0
@@ -136,4 +160,5 @@ def slow_variation_ratio(model: GainModel, p: float, scale: float) -> float:
         raise ValueError("quantile level p must lie strictly between 0 and 1")
     if not scale > 0.0 or not 0.0 < scale * p < 1.0:
         raise ValueError("scale must be positive with scale * p inside (0, 1)")
-    return tail_quantile(model, scale * p).r / tail_quantile(model, p).r
+    scaled, base = tail_quantiles(model, (scale * p, p))
+    return scaled.r / base.r

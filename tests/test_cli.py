@@ -106,6 +106,28 @@ def test_constant_gain_bytes_are_pinned() -> None:
     )
 
 
+def test_predict_grid_bytes_are_pinned() -> None:
+    # The two models of the benchmark's predict grid; Pareto's levels fall
+    # on both sides of its alpha + 700 cut.
+    uniform = _run("predict", "uniform", "16,221,10000")
+    assert uniform.exit_code == 0
+    assert uniform.output == (
+        "n,quantile_numeric,quantile_asymptotic,predicted_numeric,predicted_asymptotic\n"
+        "16,0.96136664730147459,1.0197814405382262,15.381866356823593,16.316503048611619\n"
+        "221,1.5491970082221087,1.6860586552156356,342.37253881708602,372.61896280265546\n"
+        "10000,2.0832998663245235,2.2203268063678463,20832.998663245235,22203.268063678464\n"
+    )
+    pareto = _run("predict", "pareto:1.5", "16,21,221,10000")
+    assert pareto.exit_code == 0
+    assert pareto.output == (
+        "n,quantile_numeric,quantile_asymptotic,predicted_numeric,predicted_asymptotic\n"
+        "16,5.3085742337570991,5.5451774444795623,84.937187740113586,88.722839111672997\n"
+        "21,5.8503634048101958,6.089044875446846,122.85763150101411,127.86994238438376\n"
+        "221,10.554786996479379,10.796325403035505,2332.6079262219428,2385.9879140708467\n"
+        "10000,18.179116281418828,18.420680743952364,181791.16281418828,184206.80743952366\n"
+    )
+
+
 def test_predict_rejects_bad_model_with_grammar_hint() -> None:
     result = _run("predict", "gauss", "10")
     assert result.exit_code == 2
@@ -260,6 +282,14 @@ def test_tail_check_validates_arguments() -> None:
     assert _run("tail-check", "exp", "--samples", "100").exit_code == 2
     assert _run("tail-check", "exp", "--thresholds", "-1").exit_code == 2
     assert _run("tail-check", "exp", "--thresholds", "x").exit_code == 2
+
+
+@pytest.mark.parametrize("samples", [str(10**8 + 1), "1" + "0" * 30])
+def test_tail_check_caps_samples_before_drawing(samples: str) -> None:
+    result = _run("tail-check", "exp", "--samples", samples)
+    assert result.exit_code == 2
+    assert "100000000" in result.output
+    assert "Traceback" not in result.output
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])

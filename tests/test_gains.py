@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -15,12 +16,14 @@ from logassign import (
     ExponentialGain,
     ModelSpecError,
     ParetoGain,
+    QuadratureError,
     UniformGain,
     generate_cost_matrix,
     model_spec_string,
     parse_model_spec,
     sample_cost,
 )
+from logassign import gains
 
 BUILTINS = (ConstantGain(1.0), ExponentialGain(), ParetoGain(3.0), UniformGain())
 
@@ -126,6 +129,53 @@ def test_pareto_transform_against_incomplete_gamma_oracle(alpha: float) -> None:
             - a * math.log(rho)
         )
         assert model.log_laplace(rho) == pytest.approx(oracle, rel=1e-8, abs=1e-8)
+
+
+@pytest.mark.parametrize("alpha", [1.5, 3.0])
+def test_pareto_far_tail_is_integrated_once_per_instance(alpha: float, monkeypatch) -> None:
+    a = alpha - 1.0
+    cut = alpha + 700.0
+    direct = gains._checked_log(
+        *gains._integral(lambda t: t ** (a - 1.0) * math.exp(-t), 0.0, cut),
+        "pareto gain transform",
+    )
+    calls = []
+    integral = gains._integral
+
+    def counted(fn, lo, hi, points=None):
+        calls.append((lo, hi))
+        return integral(fn, lo, hi, points)
+
+    monkeypatch.setattr(gains, "_integral", counted)
+    model = ParetoGain(alpha)
+    assert calls == []
+    for rho in (cut, 2.0 * cut, 1e12):
+        assert model.log_laplace(rho) == math.log(a) - a * math.log(rho) + direct
+    assert calls == [(0.0, cut)]
+    # Below the cut every rho still integrates its own interval.
+    model.log_laplace(cut - 1.0)
+    assert calls == [(0.0, cut), (0.0, cut - 1.0)]
+    ParetoGain(alpha).log_laplace(1e12)
+    assert len(calls) == 3
+
+
+def test_pareto_far_tail_cache_leaves_identity_and_pickling_alone() -> None:
+    model = parse_model_spec("pareto:1.5")
+    pickled, hashed = pickle.dumps(model), hash(model)
+    model.log_laplace(1e12)
+    assert model == ParetoGain(1.5) and hash(model) == hashed
+    assert pickle.dumps(model) == pickled
+    copy = pickle.loads(pickle.dumps(model))
+    assert copy == model and vars(copy) == {"alpha": 1.5}
+    assert copy.log_laplace(1e12) == model.log_laplace(1e12)
+
+
+def test_pareto_far_tail_failure_raises_when_evaluated(monkeypatch) -> None:
+    monkeypatch.setattr(gains, "_integral", lambda fn, lo, hi, points=None: (1.0, 1.0))
+    model = ParetoGain(2.0)
+    for _ in range(2):
+        with pytest.raises(QuadratureError):
+            model.log_laplace(1e6)
 
 
 def test_transform_strictly_decreasing_in_rho() -> None:

@@ -11,6 +11,7 @@ from logassign import (
     ConstantGain,
     DensityGain,
     ExponentialGain,
+    GainModel,
     ParetoGain,
     UniformGain,
     asymptotic_quantile,
@@ -18,6 +19,7 @@ from logassign import (
     slow_variation_ratio,
     tail_probability,
     tail_quantile,
+    tail_quantiles,
 )
 
 BUILTINS = (ConstantGain(1.0), ExponentialGain(), ParetoGain(2.0), UniformGain())
@@ -62,6 +64,51 @@ def test_quantile_grows_as_p_shrinks() -> None:
         levels = [10.0**-k for k in range(1, 9)]
         values = [tail_quantile(model, p).r for p in levels]
         assert all(b > a for a, b in zip(values, values[1:]))
+
+
+class CountingGain(GainModel):
+    """A built-in law that counts its transform evaluations."""
+
+    def __init__(self, law: GainModel):
+        self.law = law
+        self.spec = law.spec
+        self.calls = 0
+
+    def log_laplace(self, rho: float) -> float:
+        self.calls += 1
+        return self.law.log_laplace(rho)
+
+
+# Unsorted, with repeats, and on both sides of Pareto's alpha + 700 cut.
+GRID = (1e-4, 0.3, 1.0 / 16, 1e-8, 1e-4, 1.0 / 221, 0.3, 1e-12)
+
+
+@pytest.mark.parametrize("law", BUILTINS, ids=lambda law: law.spec)
+def test_tail_quantiles_equal_separate_solves_with_fewer_transforms(law) -> None:
+    separate = CountingGain(law)
+    expected = [tail_quantile(separate, p) for p in GRID]
+    shared = CountingGain(law)
+    results = tail_quantiles(shared, GRID)
+    assert len(results) == len(GRID)
+    for got, want in zip(results, expected):
+        assert got.p == want.p
+        assert got.r == want.r
+        assert got.bracket == want.bracket
+        assert got.residual == want.residual
+        assert got.iterations == want.iterations
+    assert shared.calls < separate.calls
+    # Each call starts from an empty memo.
+    first = shared.calls
+    assert tail_quantiles(shared, GRID) == results
+    assert shared.calls == 2 * first
+
+
+def test_tail_quantiles_check_every_level_before_solving() -> None:
+    model = CountingGain(ConstantGain(1.0))
+    with pytest.raises(ValueError):
+        tail_quantiles(model, (0.5, 1e-3, 1.0))
+    assert model.calls == 0
+    assert tail_quantiles(model, ()) == []
 
 
 def test_level_validation() -> None:
