@@ -128,6 +128,51 @@ def test_predict_grid_bytes_are_pinned() -> None:
     )
 
 
+def test_knife_edge_and_large_size_bytes_are_pinned() -> None:
+    # At n = 5243 the Pareto root sits 2.9e-11 from the printed quantile, so
+    # the transform must not move by more than its last digits; the
+    # exponential sizes are those of the benchmark's large simulations.
+    pareto = _run("predict", "pareto:1.5", "5243")
+    assert pareto.exit_code == 0
+    assert pareto.output == (
+        "n,quantile_numeric,quantile_asymptotic,predicted_numeric,predicted_asymptotic\n"
+        "5243,16.887733836163534,17.129298265145067,88542.388503005408,89808.910804155588\n"
+    )
+    exponential = _run("predict", "exp", "300,600,1000")
+    assert exponential.exit_code == 0
+    assert exponential.output == (
+        "n,quantile_numeric,quantile_asymptotic,predicted_numeric,predicted_asymptotic\n"
+        "300,2.5705893221602309,2.0959647324913249,771.17679664806928,1044.6777280833646\n"
+        "600,2.7586322741990443,2.3253419066409875,1655.1793645194266,2226.9817606565271\n"
+        "1000,2.8867748298507649,2.4789951067122402,2886.7748298507649,3865.2894678321309\n"
+    )
+
+
+def test_predict_steep_pareto_matches_a_40_digit_root() -> None:
+    mp = pytest.importorskip("mpmath")
+    result = _run("predict", "pareto:400", "100,1000")
+    assert result.exit_code == 0
+    rows = [line.split(",") for line in result.output.splitlines()[1:]]
+    assert [int(row[0]) for row in rows] == [100, 1000]
+    with mp.workdps(40):
+        alpha = mp.mpf(400)
+
+        def log_tail(r, n):
+            # log P(cost >= r) + log n, with the transform exp(-rho) M(1, alpha, rho).
+            rho = mp.expm1(r)
+            return -rho + mp.log(mp.hyp1f1(1, alpha, rho)) + mp.log(n)
+
+        for n, quantile, *_ in rows:
+            root = mp.findroot(lambda r: log_tail(r, int(n)), float(quantile))
+            assert abs(float(quantile) - float(root)) <= 1e-10
+
+
+def test_simulate_steep_pareto_finishes() -> None:
+    result = _run("simulate", "pareto:1000", "--sizes", "3,10", "--replicates", "2")
+    assert result.exit_code == 0, result.output
+    assert [row.n for row in parse_report_csv(result.output).rows] == [3, 10]
+
+
 def test_predict_rejects_bad_model_with_grammar_hint() -> None:
     result = _run("predict", "gauss", "10")
     assert result.exit_code == 2
@@ -282,6 +327,31 @@ def test_tail_check_validates_arguments() -> None:
     assert _run("tail-check", "exp", "--samples", "100").exit_code == 2
     assert _run("tail-check", "exp", "--thresholds", "-1").exit_code == 2
     assert _run("tail-check", "exp", "--thresholds", "x").exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "model", ["constant:1", "exp", "pareto:3", "uniform", "pareto:1.05", "pareto:7.5"]
+)
+def test_tail_check_survives_vanishing_thresholds(model: str) -> None:
+    # Round-off once gave transforms above 0 here, so tail probabilities
+    # above 1 and a math domain error.
+    result = _run("tail-check", model, "--thresholds", "0,5e-324,1e-100,1e-20",
+                  "--samples", "10000")
+    assert result.exit_code in (0, 5), result.output
+    assert "Traceback" not in result.output
+
+
+def test_tail_check_reaches_far_exponential_thresholds() -> None:
+    # rho = e**50 - 1, where the transform once failed its quadrature.
+    result = _run("tail-check", "exp", "--thresholds", "50", "--samples", "10000")
+    assert result.exit_code == 0, result.output
+
+
+def test_tail_check_reports_an_overflowing_far_tail_as_numeric_failure() -> None:
+    result = _run("tail-check", "pareto:150", "--thresholds", "7", "--samples", "10000")
+    assert result.exit_code == cli.EXIT_NUMERIC
+    assert "pareto:150.0" in result.output and "overflow" in result.output
+    assert "Traceback" not in result.output
 
 
 @pytest.mark.parametrize("samples", [str(10**8 + 1), "1" + "0" * 30])

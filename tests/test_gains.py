@@ -142,9 +142,9 @@ def test_pareto_far_tail_is_integrated_once_per_instance(alpha: float, monkeypat
     calls = []
     integral = gains._integral
 
-    def counted(fn, lo, hi, points=None):
+    def counted(fn, lo, hi, label="integrand"):
         calls.append((lo, hi))
-        return integral(fn, lo, hi, points)
+        return integral(fn, lo, hi, label)
 
     monkeypatch.setattr(gains, "_integral", counted)
     model = ParetoGain(alpha)
@@ -152,11 +152,11 @@ def test_pareto_far_tail_is_integrated_once_per_instance(alpha: float, monkeypat
     for rho in (cut, 2.0 * cut, 1e12):
         assert model.log_laplace(rho) == math.log(a) - a * math.log(rho) + direct
     assert calls == [(0.0, cut)]
-    # Below the cut every rho still integrates its own interval.
+    # Below the cut the closed form runs no quadrature.
     model.log_laplace(cut - 1.0)
-    assert calls == [(0.0, cut), (0.0, cut - 1.0)]
+    assert calls == [(0.0, cut)]
     ParetoGain(alpha).log_laplace(1e12)
-    assert len(calls) == 3
+    assert len(calls) == 2
 
 
 def test_pareto_far_tail_cache_leaves_identity_and_pickling_alone() -> None:
@@ -176,6 +176,89 @@ def test_pareto_far_tail_failure_raises_when_evaluated(monkeypatch) -> None:
     for _ in range(2):
         with pytest.raises(QuadratureError):
             model.log_laplace(1e6)
+
+
+# rho across the whole range of a double, every five decades; each law adds
+# the points where it changes formula.
+_EDGE_RHOS = (*np.geomspace(1e-300, 1e300, 121), 5e-324, 1e-100, 1e12)
+_ORACLE_LAWS = (
+    ExponentialGain(),
+    UniformGain(),
+    *(ParetoGain(alpha) for alpha in (1.05, 1.5, 3.0, 7.5, 400.0)),
+)
+
+
+def _edge_rhos(model) -> tuple[float, ...]:
+    if isinstance(model, ParetoGain):
+        cut = model.alpha + 700.0
+        return (*_EDGE_RHOS, model.alpha, cut - 1.0, cut, cut + 1.0)
+    if isinstance(model, ExponentialGain):
+        return (*_EDGE_RHOS, 1e-7, 2.5e7)
+    return (*_EDGE_RHOS, 700.0, 710.0, 1e4)
+
+
+def _reference_log_laplace(model, rho: float):
+    """log E exp(-rho/g) to 40 digits, from mpmath's special functions."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        rho = mp.mpf(rho)
+        if isinstance(model, ExponentialGain):
+            s = 2 * mp.sqrt(rho)
+            return float(mp.log(s * mp.besselk(1, s)))
+        if isinstance(model, UniformGain):
+            return float(mp.log(mp.expint(2, rho)))
+        a = mp.mpf(model.alpha) - 1
+        return float(mp.log(a) - a * mp.log(rho) + mp.log(mp.gammainc(a, 0, rho)))
+
+
+@pytest.mark.parametrize("model", _ORACLE_LAWS, ids=model_spec_string)
+def test_closed_form_transforms_match_a_40_digit_oracle(model) -> None:
+    for rho in _edge_rhos(model):
+        rho = float(rho)
+        if isinstance(model, ParetoGain) and model.alpha > 106.0 and rho >= model.alpha + 700.0:
+            # The far tail is still one quadrature, whose integrand
+            # overflows for alpha above about 106.
+            with pytest.raises(QuadratureError, match=model.spec):
+                model.log_laplace(rho)
+            continue
+        reference = _reference_log_laplace(model, rho)
+        value = model.log_laplace(rho)
+        assert abs(value - reference) <= 1e-13 * max(1.0, abs(reference)), rho
+
+
+@pytest.mark.parametrize("model", (ExponentialGain(), UniformGain()), ids=model_spec_string)
+def test_exponential_and_uniform_transforms_run_no_quadrature(model, monkeypatch) -> None:
+    def refuse(*args, **kwargs):
+        raise AssertionError("quadrature called")
+
+    monkeypatch.setattr(gains, "quad", refuse)
+    for rho in _EDGE_RHOS:
+        assert model.log_laplace(float(rho)) <= 0.0
+
+
+@pytest.mark.parametrize(
+    "model", (*BUILTINS, ParetoGain(1.05), ParetoGain(7.5)), ids=model_spec_string
+)
+def test_transform_is_nonpositive_and_nonincreasing_at_every_scale(model) -> None:
+    values = [model.log_laplace(float(rho)) for rho in np.geomspace(1e-300, 1e300, 121)]
+    assert all(value <= 0.0 for value in values)
+    assert all(math.isfinite(value) or value == -math.inf for value in values)
+    assert all(b <= a for a, b in zip(values, values[1:]))
+
+
+def test_log_laplace_clamps_a_positive_value_to_zero() -> None:
+    class RoundedUp(ExponentialGain):
+        def _log_laplace(self, rho: float) -> float:
+            return 1e-14
+
+    assert RoundedUp().log_laplace(1e-20) == 0.0
+
+
+def test_an_overflowing_integrand_raises_quadrature_error_naming_the_law() -> None:
+    model = ParetoGain(150.0)
+    assert math.isfinite(model.log_laplace(849.0))
+    with pytest.raises(QuadratureError, match=r"pareto:150\.0 gain transform.*overflow"):
+        model.log_laplace(1e4)
 
 
 def test_transform_strictly_decreasing_in_rho() -> None:
