@@ -42,8 +42,9 @@ _SIZES_HELP = (
     "10..100:10 (inclusive of b when step divides b-a)."
 )
 _TAIL_CHECK_CONTEXT = 2
-# tail-check holds the gains, fades and costs of every draw at once, about
-# 32 bytes per sample, so 10**8 samples already need about 3.2 GB.
+# tail-check peaks while it draws: the gains plus the one buffer that fades
+# and costs share, 16 bytes per sample (24 for pareto, whose inverse CDF
+# holds a temporary), so 10**8 samples already need 1.6 to 2.4 GB.
 _MAX_SAMPLES = 10**8
 _PREDICT_COLUMNS = ("n", "quantile_numeric", "quantile_asymptotic", "predicted_numeric",
                     "predicted_asymptotic")
@@ -187,8 +188,8 @@ def compare(report_path: str):
 @click.option("--thresholds", default="0.5,1,2,3", show_default=True,
               help="Comma list of cost thresholds r.")
 @click.option("--samples", default=1_000_000, show_default=True,
-              help="Number of cost draws, 10000 to 10**8; each takes about 32 bytes "
-                   "of memory.")
+              help="Number of cost draws, 10000 to 10**8; each takes about 16 bytes "
+                   "of memory (24 for pareto).")
 @click.option("--seed", default=0, show_default=True, help="Master seed.")
 def tail_check(model_spec, thresholds, samples, seed):
     model = _model(model_spec)

@@ -170,7 +170,8 @@ def _hold_frozen(gains: dict[int, np.ndarray]) -> None:
 @functools.lru_cache(maxsize=1)
 def _frozen_gains(model: GainModel, n: int, master_seed: int) -> np.ndarray:
     rng = replicate_stream(master_seed, n, 0, purpose=_PURPOSE_QUENCHED_GAINS)
-    gains = model.sample(rng, size=(n, n))
+    # Freeze a view: the array itself may be one the model hands out again.
+    gains = np.asarray(model.sample(rng, size=(n, n)), dtype=float).view()
     gains.flags.writeable = False
     return gains
 

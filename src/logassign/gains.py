@@ -465,13 +465,37 @@ class DensityGain(GainModel):
         return float(grid[k])
 
 
+def _checked_gains(gains, n: int) -> np.ndarray:
+    """``gains`` as a float array, if it is an n x n matrix of positive finite reals."""
+    gains = np.asarray(gains, dtype=float)
+    if gains.shape != (n, n):
+        raise ValueError(f"gain matrix shape {gains.shape} does not match n = {n}")
+    # NaN propagates through min and max, so two reductions cover every entry
+    # without an n x n temporary.
+    if not (gains.min() > 0.0 and gains.max() < math.inf):
+        raise ValueError("gain matrix entries must be positive finite reals")
+    return gains
+
+
+def _log_costs(gains, rng: np.random.Generator, size) -> np.ndarray:
+    """log(1 + gains * fades), computed in the one buffer the fades are drawn into.
+
+    ``gains`` is only read: it may be frozen, or memory a model shares.
+    ``g*f == f*g`` exactly, and a unit-scale ``exponential`` is
+    ``standard_exponential``, so this equals ``np.log1p(gains *
+    rng.exponential(size=size))`` bit for bit.
+    """
+    costs = rng.standard_exponential(size=size)
+    np.multiply(gains, costs, out=costs)
+    return np.log1p(costs, out=costs)
+
+
 def sample_cost(model: GainModel, rng: np.random.Generator, size=None):
     """Draw link costs log(1 + g*f); gain draws precede fade draws."""
     gain = model.sample(rng, size=size)
-    fade = rng.exponential(size=size)
     if size is None:
-        return math.log1p(gain * fade)
-    return np.log1p(gain * fade)
+        return math.log1p(gain * rng.standard_exponential())
+    return _log_costs(gain, rng, size)
 
 
 def generate_cost_matrix(
@@ -484,23 +508,16 @@ def generate_cost_matrix(
 
     Without ``gain_matrix`` both gains and fades are drawn fresh from
     ``rng`` (gains first).  With it, the given gains are held fixed and only
-    the fades are drawn, which is the quenched variant.
+    the fades are drawn, which is the quenched variant.  Either way the
+    gains must form an n x n matrix of positive finite reals, else
+    ValueError; they are never written to.
     """
     n = int(n)
     if n < 1:
         raise ValueError("matrix order n must be at least 1")
     if gain_matrix is None:
-        gains = model.sample(rng, size=(n, n))
-    else:
-        gains = np.asarray(gain_matrix, dtype=float)
-        if gains.shape != (n, n):
-            raise ValueError(
-                f"gain matrix shape {gains.shape} does not match n = {n}"
-            )
-        if not np.all(np.isfinite(gains)) or not np.all(gains > 0.0):
-            raise ValueError("gain matrix entries must be positive finite reals")
-    fades = rng.exponential(size=(n, n))
-    return np.log1p(gains * fades)
+        gain_matrix = model.sample(rng, size=(n, n))
+    return _log_costs(_checked_gains(gain_matrix, n), rng, (n, n))
 
 
 def parse_model_spec(text: str) -> GainModel:

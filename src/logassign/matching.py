@@ -50,18 +50,14 @@ def as_cost_matrix(matrix) -> np.ndarray:
         raise ValueError(f"cost matrix must be square, got shape {m.shape}")
     if m.shape[0] == 0:
         raise ValueError("cost matrix must have at least one row")
-    if not np.all(np.isfinite(m)):
+    # NaN propagates through min and max, so two reductions cover every entry
+    # without an n x n temporary.
+    if not (math.isfinite(m.min()) and math.isfinite(m.max())):
         raise ValueError("cost matrix entries must be finite")
     return m
 
 
-def assignment_value(matrix, permutation) -> float:
-    """Total cost of ``permutation`` on ``matrix``.
-
-    The sum is accumulated in row order, so repeated calls on the same
-    arguments return the identical float.
-    """
-    m = as_cost_matrix(matrix)
+def _row_order_value(m: np.ndarray, permutation) -> float:
     n = m.shape[0]
     pi = [int(j) for j in permutation]
     if sorted(pi) != list(range(n)):
@@ -72,19 +68,28 @@ def assignment_value(matrix, permutation) -> float:
     return total
 
 
+def assignment_value(matrix, permutation) -> float:
+    """Total cost of ``permutation`` on ``matrix``.
+
+    The sum is accumulated in row order, so repeated calls on the same
+    arguments return the identical float.
+    """
+    return _row_order_value(as_cost_matrix(matrix), permutation)
+
+
 def solve_max_assignment(matrix) -> Assignment:
     """Find a maximum-value assignment in O(n^3) time.
 
     The permutation comes from scipy's ``linear_sum_assignment`` with
     ``maximize=True`` (Crouse 2016).  The returned value is re-summed in row
-    order from that permutation with :func:`assignment_value`, so it does
-    not depend on how the solver accumulates costs.  Among tied optima the
-    permutation returned is unspecified.
+    order from that permutation, as :func:`assignment_value` does, so it
+    does not depend on how the solver accumulates costs.  Among tied optima
+    the permutation returned is unspecified.
     """
     m = as_cost_matrix(matrix)
     _, column_of_row = linear_sum_assignment(m, maximize=True)
     permutation = tuple(int(j) for j in column_of_row)
-    return Assignment(permutation=permutation, value=assignment_value(m, permutation))
+    return Assignment(permutation=permutation, value=_row_order_value(m, permutation))
 
 
 def brute_force_max_assignment(matrix) -> Assignment:

@@ -87,6 +87,39 @@ class TwoPointGain(GainModel):
         return n * math.log(math.log(n))
 
 
+@dataclass(frozen=True)
+class ShapelessGain(ExponentialGain):
+    """Draws one row of gains where a matrix is asked for: shape (n,)."""
+
+    def sample(self, rng, size=None):
+        return super().sample(rng, size if size is None else size[0])
+
+
+@dataclass(frozen=True)
+class NegativeGain(ExponentialGain):
+    """Draws gains in (-0.5, 0), where log(1 + g*f) is wrong or NaN."""
+
+    def sample(self, rng, size=None):
+        return -0.5 * (1.0 - rng.random(size=size))
+
+
+_SHARED_GAINS = np.linspace(0.5, 2.0, 16).reshape(4, 4)
+
+
+class SharedArrayGain(GainModel):
+    """Hands out the same module-level 4 x 4 array on every draw."""
+
+    spec = "shared"
+
+    def sample(self, rng, size=None):
+        return _SHARED_GAINS
+
+    def _log_laplace(self, rho):
+        exponents = -rho / _SHARED_GAINS
+        top = float(exponents.max())
+        return top + math.log(float(np.mean(np.exp(exponents - top))))
+
+
 def _flat_density(y: float) -> float:
     return 1.0
 
@@ -231,6 +264,26 @@ def test_failed_replicate_aborts_with_location() -> None:
         run_experiment(_config(model=ExplodingGain(), sizes=(4,)))
     assert info.value.n == 4
     assert info.value.replicate == 0
+
+
+@pytest.mark.parametrize("model", [ShapelessGain(), NegativeGain()],
+                         ids=["shape", "sign"])
+def test_bad_gain_draws_fail_the_first_replicate_in_every_mode(model) -> None:
+    for mode in ("annealed", "quenched"):
+        for parallelism in (1, 2):
+            with pytest.raises(ReplicateError) as info:
+                run_experiment(_config(model=model, sizes=(3, 4), mode=mode,
+                                       parallelism=parallelism))
+            assert (info.value.n, info.value.replicate) == (3, 0)
+            assert "gain matrix" in info.value.reason
+
+
+@pytest.mark.parametrize("mode", ["annealed", "quenched"])
+def test_a_shared_gain_array_is_left_as_it_was(mode: str) -> None:
+    before = _SHARED_GAINS.copy()
+    run_experiment(_config(model=SharedArrayGain(), sizes=(4,), mode=mode))
+    assert np.array_equal(_SHARED_GAINS, before)
+    assert _SHARED_GAINS.flags.writeable
 
 
 def test_replicate_error_survives_pickling() -> None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -469,6 +470,59 @@ def test_quenched_gain_matrix_validation() -> None:
         generate_cost_matrix(model, 4, _rng(2), gain_matrix=bad)
     with pytest.raises(ValueError):
         generate_cost_matrix(model, 0, _rng(2))
+
+
+def _tent(y: float) -> float:
+    return 1.0 - abs(y - 1.0)
+
+
+LAWS = (ExponentialGain(), UniformGain(), ParetoGain(3.0), ConstantGain(2.5),
+        DensityGain(density=_tent, lower=0.0, upper=2.0))
+
+
+@pytest.mark.parametrize("n", [1, 3, 1000])
+@pytest.mark.parametrize("model", LAWS, ids=lambda model: model.spec)
+def test_costs_keep_the_bytes_of_the_plain_formula(model, n: int) -> None:
+    def plain(gains, rng):
+        return np.log1p(gains * rng.exponential(size=(n, n)))
+
+    def same_bytes(a, b) -> bool:
+        return a.dtype == b.dtype and np.array_equal(a.view(np.uint8), b.view(np.uint8))
+
+    rng = _rng(70 + n)
+    expected = plain(model.sample(rng, size=(n, n)), rng)
+    assert same_bytes(generate_cost_matrix(model, n, _rng(70 + n)), expected)
+    assert same_bytes(sample_cost(model, _rng(70 + n), size=(n, n)), expected)
+    frozen = model.sample(_rng(90), size=(n, n))
+    rng = _rng(80 + n)
+    expected = plain(frozen, rng)
+    assert same_bytes(generate_cost_matrix(model, n, _rng(80 + n), gain_matrix=frozen),
+                      expected)
+    rng = _rng(7)
+    expected = math.log1p(model.sample(rng) * rng.exponential())
+    assert sample_cost(model, _rng(7)) == expected
+
+
+def test_read_only_gain_matrix_is_left_as_it_was() -> None:
+    gains = ParetoGain(3.0).sample(_rng(5), size=(50, 50))
+    gains.flags.writeable = False
+    before = gains.copy()
+    generate_cost_matrix(ParetoGain(3.0), 50, _rng(6), gain_matrix=gains)
+    assert np.array_equal(gains, before)
+    assert not gains.flags.writeable
+
+
+def test_cost_matrix_draw_holds_two_matrices_at_most() -> None:
+    n = 1000
+    rng = _rng(11)
+    tracemalloc.start()
+    try:
+        generate_cost_matrix(ExponentialGain(), n, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The gains and the one buffer that fades, products and costs share.
+    assert peak <= 2 * 8 * n * n + 2**20
 
 
 def test_matrix_entries_are_uncorrelated_across_positions() -> None:

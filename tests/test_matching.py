@@ -13,6 +13,8 @@ from logassign import (
     brute_force_max_assignment,
     solve_max_assignment,
 )
+from logassign import matching
+from logassign.matching import as_cost_matrix
 
 # Hand-enumerated: all six permutations of this matrix score
 # 9, 2, 5, 5, 0, 7, so the identity wins uniquely.
@@ -162,6 +164,19 @@ def test_invalid_matrices_are_rejected() -> None:
         solve_max_assignment([[np.nan, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
         solve_max_assignment([[np.inf, 0.0], [0.0, 1.0]])
+
+
+def test_solver_checks_its_input_once(monkeypatch) -> None:
+    checked = []
+
+    def counting(matrix):
+        checked.append(1)
+        return as_cost_matrix(matrix)
+
+    monkeypatch.setattr(matching, "as_cost_matrix", counting)
+    result = solve_max_assignment(DEMO)
+    assert checked == [1]
+    assert result.value == assignment_value(DEMO, result.permutation)
 
 
 def test_brute_force_rejects_large_instances() -> None:
