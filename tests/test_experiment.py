@@ -97,7 +97,7 @@ class ShapelessGain(ExponentialGain):
 
 @dataclass(frozen=True)
 class NegativeGain(ExponentialGain):
-    """Draws gains in (-0.5, 0), where log(1 + g*f) is wrong or NaN."""
+    """Draws gains in [-0.5, 0), where log(1 + g*f) is wrong or NaN."""
 
     def sample(self, rng, size=None):
         return -0.5 * (1.0 - rng.random(size=size))
