@@ -43,8 +43,8 @@ _SIZES_HELP = (
 )
 _TAIL_CHECK_CONTEXT = 2
 # tail-check peaks while it draws: the gains plus the one buffer that fades
-# and costs share, 16 bytes per sample (24 for pareto, whose inverse CDF
-# holds a temporary), so 10**8 samples already need 1.6 to 2.4 GB.
+# and costs share, 16 bytes per sample for every law, so 10**8 samples
+# already need 1.6 GB.
 _MAX_SAMPLES = 10**8
 _PREDICT_COLUMNS = ("n", "quantile_numeric", "quantile_asymptotic", "predicted_numeric",
                     "predicted_asymptotic")
@@ -189,7 +189,7 @@ def compare(report_path: str):
               help="Comma list of cost thresholds r.")
 @click.option("--samples", default=1_000_000, show_default=True,
               help="Number of cost draws, 10000 to 10**8; each takes about 16 bytes "
-                   "of memory (24 for pareto).")
+                   "of memory.")
 @click.option("--seed", default=0, show_default=True, help="Master seed.")
 def tail_check(model_spec, thresholds, samples, seed):
     model = _model(model_spec)

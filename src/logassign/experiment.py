@@ -9,9 +9,12 @@ replicate streams untouched, which makes a constant-gain quenched run
 coincide exactly with its annealed twin.  The parent draws each frozen
 matrix once; no task carries one.
 
-A run with ``parallelism > 1`` opens one process pool for all its sizes.
-Each worker receives every frozen matrix of the run once, when it starts,
-and the parent computes the predictions while the workers solve.
+A run with ``parallelism > 1`` opens one process pool for all its sizes,
+with no more workers than it has chunks.  Each size's replicates go out in
+one chunk per worker, largest size first, so the chunks left at the end
+are the cheapest.  Each worker receives every frozen matrix of the run
+once, when it starts, and the parent computes the predictions while the
+workers solve.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import pickle
@@ -208,14 +212,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Simulate every configured size and attach both predictions.
 
     All replicates of all sizes go to one process pool (none when
-    ``parallelism == 1``), whose workers each receive the run's frozen gain
-    matrices once, when they start; the parent computes the predictions
-    while the workers solve.  Replicate optima are aggregated in replicate
+    ``parallelism == 1``) of at most as many workers as there are chunks.
+    Each size is split into at most ``parallelism`` chunks of
+    ``ceil(replicates / parallelism)`` replicates, queued largest size
+    first.  The workers each receive the run's frozen gain matrices once,
+    when they start; the parent computes the predictions while the workers
+    solve.  Replicate optima are read back and aggregated in replicate
     order with compensated summation, so reports do not vary with
     ``parallelism``.  Any replicate failure aborts the run, cancels the
-    replicates still queued, and raises the worker's
-    :class:`ReplicateError`, which names the failing (n, replicate) pair.
-    A worker process that dies raises ``BrokenProcessPool``.
+    replicates still queued, and raises the :class:`ReplicateError` of the
+    first failing (n, replicate) pair in serial order.  A worker process
+    that dies raises ``BrokenProcessPool``.
     """
     m, model = config.replicates, config.model
     tasks = [(model, n, rep, config.master_seed, config.mode)
@@ -231,10 +238,19 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 # draws' temporaries freed, which halves the extra peak memory.
                 frozen = {n: _frozen_gains(model, n, config.master_seed)
                           for n in reversed(config.sizes)}
-            pool = ProcessPoolExecutor(max_workers=config.parallelism,
+            # One chunk per worker and size, and no worker without a chunk.
+            chunk = math.ceil(m / config.parallelism)
+            chunks = len(config.sizes) * math.ceil(m / chunk)
+            pool = ProcessPoolExecutor(max_workers=min(config.parallelism, chunks),
                                        initializer=_hold_frozen, initargs=(frozen,))
-            chunk = max(1, m // (4 * config.parallelism))
-            results = pool.map(_replicate_value, tasks, chunksize=chunk)
+            # map submits at once, so the whole queue stands, largest size
+            # first and cheapest chunks last, before the parent predicts.
+            # Reading it back in size order raises the first failure in
+            # serial order.
+            by_size = [pool.map(_replicate_value, tasks[i * m : (i + 1) * m],
+                                chunksize=chunk)
+                       for i in reversed(range(len(config.sizes)))]
+            results = itertools.chain.from_iterable(reversed(by_size))
         predictions = [(predicted_max(model, n), asymptotic_prediction(model, n))
                        for n in config.sizes]
         optima = list(results)

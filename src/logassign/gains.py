@@ -281,8 +281,15 @@ class ParetoGain(GainModel):
             raise ValueError("pareto exponent alpha must exceed 1")
 
     def inverse_cdf(self, u):
-        """Quantile transform sending uniform draws u in [0, 1) to gains."""
-        return (1.0 - u) ** (-1.0 / (self.alpha - 1.0))
+        """Quantile transform sending uniform draws u in [0, 1) to gains.
+
+        Computes ``(1.0 - u) ** (-1 / (alpha - 1))`` in one fresh array.
+        The in-place power takes numpy's scalar-exponent fast paths, as the
+        plain expression does, so the bits are the same.  ``u`` is only read.
+        """
+        v = np.subtract(1.0, u)
+        v **= -1.0 / (self.alpha - 1.0)
+        return v
 
     def sample(self, rng: np.random.Generator, size=None):
         return self.inverse_cdf(rng.random(size=size))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +60,12 @@ def as_cost_matrix(matrix) -> np.ndarray:
 
 def _row_order_value(m: np.ndarray, permutation) -> float:
     n = m.shape[0]
-    pi = [int(j) for j in permutation]
+    pi = []
+    for j in permutation:
+        try:
+            pi.append(operator.index(j))
+        except TypeError:
+            raise ValueError(f"permutation entry {j!r} is not an integer") from None
     if sorted(pi) != list(range(n)):
         raise ValueError(f"permutation must list each column 0..{n - 1} exactly once")
     total = 0.0

@@ -48,6 +48,23 @@ class FlakyGain(ExponentialGain):
         return gains
 
 
+@dataclass(frozen=True)
+class PickyGain(ExponentialGain):
+    """Exponential gains that fail every replicate at n = 5, and replicate 5 at n = 3.
+
+    The size and replicate are read back from the Philox key of the
+    replicate's stream.  Defined at module level so that pool workers can
+    unpickle it.
+    """
+
+    def sample(self, rng, size=None):
+        context = int(rng.bit_generator.state["state"]["key"][1])
+        n, replicate = context >> 32, (context >> 2) % 2**30
+        if n == 5 or (n, replicate) == (3, 5):
+            raise RuntimeError("picky draw")
+        return super().sample(rng, size)
+
+
 _TEST_PID = os.getpid()
 
 
@@ -199,6 +216,47 @@ def test_one_pool_per_run_and_none_in_process(pool_starts) -> None:
     assert pool_starts == [2]
 
 
+def test_pool_starts_no_worker_without_a_chunk(pool_starts) -> None:
+    # Two replicates of one size make two chunks of one, whatever the
+    # parallelism asked for.
+    run_experiment(_config(sizes=(3,), replicates=2, parallelism=8))
+    # Five replicates on four workers go out in chunks of two: three chunks.
+    run_experiment(_config(sizes=(3,), replicates=5, parallelism=4))
+    assert pool_starts == [2, 3]
+
+
+def test_pool_queues_one_chunk_per_worker_and_size_largest_first(monkeypatch) -> None:
+    maps = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def map(self, fn, tasks, chunksize=1):
+            tasks = list(tasks)
+            maps.append(([task[1:3] for task in tasks], chunksize))
+            return super().map(fn, tasks, chunksize=chunksize)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+    settings = dict(sizes=(3, 4, 6), replicates=7)
+    parallel = run_experiment(_config(**settings, parallelism=2))
+    # ceil(7 / 2) = 4 replicates per chunk, so each size makes two chunks.
+    assert maps == [([(n, rep) for rep in range(7)], 4) for n in (6, 4, 3)]
+    assert parallel == run_experiment(_config(**settings, parallelism=1))
+
+
+def test_first_failure_in_serial_order_wins_over_larger_sizes_queued_first() -> None:
+    # Size 5 is queued first and fails on every replicate; replicate 5 of
+    # size 3 fails inside the second chunk of four.  Sizes are read back in
+    # order, so both runs name (3, 5).
+    settings = dict(model=PickyGain(), sizes=(3, 4, 5), replicates=8)
+    errors = []
+    for parallelism in (1, 2):
+        with pytest.raises(ReplicateError) as info:
+            run_experiment(_config(**settings, parallelism=parallelism))
+        errors.append((info.value.n, info.value.replicate, str(info.value)))
+    assert errors[0] == errors[1]
+    assert errors[0][:2] == (3, 5)
+    assert "picky draw" in errors[0][2]
+
+
 def test_pool_workers_get_frozen_gains_from_the_parent() -> None:
     settings = dict(model=ParentDrawnGain(alpha=3.0), sizes=(3, 4, 6), replicates=8,
                     mode="quenched")
@@ -295,7 +353,7 @@ def test_replicate_error_survives_pickling() -> None:
 
 def test_failed_replicate_is_located_exactly_under_a_pool() -> None:
     settings = dict(model=FlakyGain(), sizes=(3, 5), replicates=40, master_seed=0)
-    # 40 replicates on 2 workers go out in chunks of 5; a failure inside a
+    # 40 replicates on 2 workers go out in chunks of 20; a failure inside a
     # chunk, not at its start, tells an exact location from a chunk's first.
     errors = []
     for parallelism in (1, 2):

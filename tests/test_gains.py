@@ -369,6 +369,22 @@ def test_pareto_inverse_cdf_closed_form() -> None:
         assert model.inverse_cdf(u) == (1.0 - u) ** -0.5
 
 
+@pytest.mark.parametrize("alpha", [1.05, 1.5, 2.0, 3.0, 7.5, 150.0])
+def test_pareto_inverse_cdf_equals_the_plain_power_bit_for_bit(alpha: float) -> None:
+    # Exponents -2 and -1 (alpha 1.5 and 2) take numpy's scalar-power fast
+    # paths; the in-place power must take them too.
+    model, exponent = ParetoGain(alpha), -1.0 / (alpha - 1.0)
+    for n in (1, 3, 1000):
+        u = _rng(n).random(size=(n, n))
+        before = u.copy()
+        expected = (1.0 - u) ** exponent
+        assert model.inverse_cdf(u).tobytes() == expected.tobytes()
+        assert u.tobytes() == before.tobytes()
+    for u in [0.0, *_rng(7).random(size=200).tolist()]:
+        got, expected = model.inverse_cdf(u), (1.0 - u) ** exponent
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+
 def test_pareto_sample_mean_matches_first_moment() -> None:
     # E g = (alpha - 1)/(alpha - 2) = 2 for alpha = 3; the tail is heavy,
     # so the bound stays loose even at a million draws.
@@ -522,6 +538,19 @@ def test_cost_matrix_draw_holds_two_matrices_at_most() -> None:
     finally:
         tracemalloc.stop()
     # The gains and the one buffer that fades, products and costs share.
+    assert peak <= 2 * 8 * n * n + 2**20
+
+
+def test_pareto_cost_matrix_draw_holds_two_matrices_at_most() -> None:
+    n = 1000
+    rng = _rng(12)
+    tracemalloc.start()
+    try:
+        generate_cost_matrix(ParetoGain(3.0), n, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Uniforms and gains while the gains are drawn, then as for any law.
     assert peak <= 2 * 8 * n * n + 2**20
 
 

@@ -25,6 +25,21 @@ def test_assignment_value_on_identity() -> None:
     assert assignment_value(DEMO, (0, 1, 2)) == 9.0
 
 
+def test_assignment_value_rejects_non_integer_entries() -> None:
+    # int() would truncate these to the permutation (0, 1) and score 5.0.
+    with pytest.raises(ValueError, match="0.7"):
+        assignment_value([[1.0, 2.0], [3.0, 4.0]], [0.7, 1.2])
+    with pytest.raises(ValueError, match="'1'"):
+        assignment_value(DEMO, (0, "1", 2))
+
+
+def test_assignment_value_takes_numpy_integer_permutations() -> None:
+    for dtype in (np.int64, np.int32, np.intp):
+        assert assignment_value(DEMO, np.array([0, 1, 2], dtype=dtype)) == 9.0
+    _, columns = matching.linear_sum_assignment(np.asarray(DEMO), maximize=True)
+    assert assignment_value(DEMO, columns) == 9.0
+
+
 def test_assignment_value_rejects_non_permutations() -> None:
     with pytest.raises(ValueError):
         assignment_value(DEMO, (0, 1, 1))
