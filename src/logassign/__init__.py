@@ -4,102 +4,17 @@ Cost matrices carry entries log(1 + g*f) with random gains g and unit
 exponential fades f.  The package solves sampled instances exactly, predicts
 the expected optimum through the reciprocal-gain transform of the gain law,
 and ships a Monte Carlo harness that compares the two at scale.
+
+Each module's ``__all__`` is re-exported here, and the package's is their
+union.
 """
 
-from .experiment import (
-    ANNEALED,
-    QUENCHED,
-    REPORT_COLUMNS,
-    ExperimentConfig,
-    ExperimentReport,
-    ReplicateError,
-    ReportRow,
-    asymptotic_prediction,
-    compare_report,
-    parse_report_csv,
-    replicate_stream,
-    report_csv_text,
-    report_json_text,
-    run_experiment,
-)
-from .gains import (
-    MODEL_SPEC_GRAMMAR,
-    ConstantGain,
-    DensityGain,
-    ExponentialGain,
-    GainModel,
-    ModelSpecError,
-    ParetoGain,
-    QuadratureError,
-    UniformGain,
-    generate_cost_matrix,
-    model_spec_string,
-    parse_model_spec,
-    sample_cost,
-)
-from .matching import (
-    MAX_BRUTE_FORCE_SIZE,
-    Assignment,
-    as_cost_matrix,
-    assignment_value,
-    brute_force_max_assignment,
-    solve_max_assignment,
-)
-from .quantile import (
-    BRACKET_WIDTH,
-    BracketError,
-    QuantileResult,
-    asymptotic_quantile,
-    predicted_max,
-    slow_variation_ratio,
-    tail_probability,
-    tail_quantile,
-    tail_quantiles,
-)
+from . import experiment, gains, matching, quantile
+from .experiment import *
+from .gains import *
+from .matching import *
+from .quantile import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ANNEALED",
-    "BRACKET_WIDTH",
-    "MAX_BRUTE_FORCE_SIZE",
-    "MODEL_SPEC_GRAMMAR",
-    "QUENCHED",
-    "REPORT_COLUMNS",
-    "Assignment",
-    "BracketError",
-    "ConstantGain",
-    "DensityGain",
-    "ExperimentConfig",
-    "ExperimentReport",
-    "ExponentialGain",
-    "GainModel",
-    "ModelSpecError",
-    "ParetoGain",
-    "QuadratureError",
-    "QuantileResult",
-    "ReplicateError",
-    "ReportRow",
-    "UniformGain",
-    "as_cost_matrix",
-    "assignment_value",
-    "asymptotic_prediction",
-    "asymptotic_quantile",
-    "brute_force_max_assignment",
-    "compare_report",
-    "generate_cost_matrix",
-    "model_spec_string",
-    "parse_model_spec",
-    "parse_report_csv",
-    "predicted_max",
-    "replicate_stream",
-    "report_csv_text",
-    "report_json_text",
-    "run_experiment",
-    "sample_cost",
-    "slow_variation_ratio",
-    "solve_max_assignment",
-    "tail_probability",
-    "tail_quantile",
-    "tail_quantiles",
-]
+__all__ = [*experiment.__all__, *gains.__all__, *matching.__all__, *quantile.__all__]

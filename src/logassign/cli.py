@@ -19,18 +19,19 @@ from .experiment import (
     QUENCHED,
     ExperimentConfig,
     ReplicateError,
+    _PURPOSE_TAIL_CHECK,
     _json_text,
     _real,
-    asymptotic_prediction,
     compare_report,
     parse_report_csv,
+    replicate_stream,
     report_csv_text,
     report_json_text,
     run_experiment,
 )
 from .gains import QuadratureError, parse_model_spec, sample_cost, MODEL_SPEC_GRAMMAR
 from .matching import solve_max_assignment
-from .quantile import BracketError, asymptotic_quantile, tail_probability, tail_quantiles
+from .quantile import BracketError, Prediction, prediction_table, tail_probability
 
 EXIT_NUMERIC = 3
 EXIT_SIMULATION = 4
@@ -41,26 +42,15 @@ _SIZES_HELP = (
     "SIZES is either a comma list like 10,20,50 or a range a..b:step like "
     "10..100:10 (inclusive of b when step divides b-a)."
 )
-_TAIL_CHECK_CONTEXT = 2
 # tail-check peaks while it draws: the gains plus the one buffer that fades
 # and costs share, 16 bytes per sample for every law, so 10**8 samples
 # already need 1.6 GB.
 _MAX_SAMPLES = 10**8
-_PREDICT_COLUMNS = ("n", "quantile_numeric", "quantile_asymptotic", "predicted_numeric",
-                    "predicted_asymptotic")
 
 
 def _fail(code: int, message: str):
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
-
-
-def _or_nan(law, model, x) -> float:
-    """The closed-form law at x, or NaN outside its domain."""
-    try:
-        return law(model, x)
-    except ValueError:
-        return math.nan
 
 
 def _model(spec: str):
@@ -104,28 +94,17 @@ def main():
               show_default=True, help="Output format.")
 def predict(model_spec: str, sizes_text: str, fmt: str):
     model = _model(model_spec)
-    sizes = parse_sizes(sizes_text)
-    # Above 2**53 a size is no longer an exact float, and 1/n or n * q(1/n)
-    # would describe some other size, or overflow.
-    if any(not 2 <= n < 2**53 for n in sizes):
-        raise click.UsageError("every size must be at least 2 and below 2**53")
-    levels = [1.0 / n for n in sizes]
     try:
-        quantiles = tail_quantiles(model, levels)
+        table = prediction_table(model, parse_sizes(sizes_text))
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from None
     except (BracketError, QuadratureError) as exc:
         _fail(EXIT_NUMERIC, str(exc))
-    records = []
-    for n, level, quantile in zip(sizes, levels, quantiles):
-        numeric = quantile.r
-        sharp = _or_nan(asymptotic_quantile, model, level)
-        growth = _or_nan(asymptotic_prediction, model, n)
-        records.append((n, numeric, sharp, n * numeric, growth))
     if fmt == "json":
-        click.echo(_json_text([dict(zip(_PREDICT_COLUMNS, record)) for record in records]),
-                   nl=False)
+        click.echo(_json_text([row._asdict() for row in table]), nl=False)
         return
-    click.echo(",".join(_PREDICT_COLUMNS))
-    for n, *reals in records:
+    click.echo(",".join(Prediction._fields))
+    for n, *reals in table:
         click.echo(",".join([str(n), *map(_real, reals)]))
 
 
@@ -204,8 +183,7 @@ def tail_check(model_spec, thresholds, samples, seed):
         raise click.UsageError(f"--samples must lie between 10000 and {_MAX_SAMPLES}")
     if not 0 <= seed < 2**64:
         raise click.UsageError("seed must fit in an unsigned 64-bit integer")
-    key = np.array([int(seed), _TAIL_CHECK_CONTEXT], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
+    rng = replicate_stream(seed, 0, 0, purpose=_PURPOSE_TAIL_CHECK)
     costs = sample_cost(model, rng, size=samples)
     click.echo("r,empirical,theoretical,z_score")
     failed = False

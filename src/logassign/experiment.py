@@ -7,7 +7,9 @@ report still comes out bit-identical.  Quenched runs key one extra stream
 per size from (master seed, size) for the frozen gain matrix and leave the
 replicate streams untouched, which makes a constant-gain quenched run
 coincide exactly with its annealed twin.  The parent draws each frozen
-matrix once; no task carries one.
+matrix once; no task carries one.  A replicate finds its size's frozen
+matrix in the module's ``_frozen`` table, so runs in one process must not
+overlap in threads.
 
 A run with ``parallelism > 1`` opens one process pool for all its sizes,
 with no more workers than it has chunks.  Each size's replicates go out in
@@ -20,7 +22,6 @@ workers solve.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import itertools
 import json
@@ -33,7 +34,8 @@ import numpy as np
 
 from .gains import GainModel, generate_cost_matrix, model_spec_string
 from .matching import solve_max_assignment
-from .quantile import predicted_max
+# asymptotic_prediction is imported for callers that take it from here.
+from .quantile import asymptotic_prediction, prediction_table
 
 __all__ = [
     "ANNEALED",
@@ -43,7 +45,6 @@ __all__ = [
     "ExperimentReport",
     "ReplicateError",
     "ReportRow",
-    "asymptotic_prediction",
     "compare_report",
     "parse_report_csv",
     "replicate_stream",
@@ -71,6 +72,7 @@ REPORT_COLUMNS = (
 
 _PURPOSE_REPLICATE = 0
 _PURPOSE_QUENCHED_GAINS = 1
+_PURPOSE_TAIL_CHECK = 2
 
 
 class ReplicateError(RuntimeError):
@@ -162,8 +164,9 @@ def replicate_stream(
     return np.random.Generator(np.random.Philox(key=key))
 
 
-# The run's frozen gain matrices by size, filled once in each pool worker
-# by its initializer; empty in every other process, which draws its own.
+# The frozen gain matrices of the quenched run in progress, by size: each
+# pool worker's initializer puts in all of them, an in-process run the one
+# of the size it is solving.  Empty between runs and in annealed runs.
 _frozen: dict[int, np.ndarray] = {}
 
 
@@ -171,21 +174,32 @@ def _hold_frozen(gains: dict[int, np.ndarray]) -> None:
     _frozen.update(gains)
 
 
-@functools.lru_cache(maxsize=1)
 def _frozen_gains(model: GainModel, n: int, master_seed: int) -> np.ndarray:
+    """Draw the frozen gain matrix of size n; a failure is replicate 0's."""
     rng = replicate_stream(master_seed, n, 0, purpose=_PURPOSE_QUENCHED_GAINS)
-    # Freeze a view: the array itself may be one the model hands out again.
-    gains = np.asarray(model.sample(rng, size=(n, n)), dtype=float).view()
+    try:
+        # Freeze a view: the array itself may be one the model hands out again.
+        gains = np.asarray(model.sample(rng, size=(n, n)), dtype=float).view()
+    except Exception as exc:
+        raise ReplicateError(n, 0, str(exc)) from exc
     gains.flags.writeable = False
     return gains
 
 
+def _in_process(tasks_by_size, quenched: bool):
+    """Replicate optima size by size, holding one frozen matrix at a time."""
+    for tasks in tasks_by_size:
+        model, n, _, master_seed = tasks[0]
+        _frozen.clear()
+        if quenched:
+            _frozen[n] = _frozen_gains(model, n, master_seed)
+        yield from map(_replicate_value, tasks)
+
+
 def _replicate_value(args) -> float:
-    model, n, replicate, master_seed, mode = args
+    model, n, replicate, master_seed = args
     try:
-        gains = None
-        if mode == QUENCHED:
-            gains = _frozen[n] if _frozen else _frozen_gains(model, n, master_seed)
+        gains = _frozen.get(n)
         rng = replicate_stream(master_seed, n, replicate)
         matrix = generate_cost_matrix(model, n, rng, gain_matrix=gains)
         return solve_max_assignment(matrix).value
@@ -215,50 +229,54 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     ``parallelism == 1``) of at most as many workers as there are chunks.
     Each size is split into at most ``parallelism`` chunks of
     ``ceil(replicates / parallelism)`` replicates, queued largest size
-    first.  The workers each receive the run's frozen gain matrices once,
-    when they start; the parent computes the predictions while the workers
-    solve.  Replicate optima are read back and aggregated in replicate
-    order with compensated summation, so reports do not vary with
-    ``parallelism``.  Any replicate failure aborts the run, cancels the
-    replicates still queued, and raises the :class:`ReplicateError` of the
-    first failing (n, replicate) pair in serial order.  A worker process
-    that dies raises ``BrokenProcessPool``.
+    first.  The parent draws the frozen gain matrices of a quenched run:
+    in process, each just before its size's replicates; for a pool, all of
+    them before it starts, and the workers each receive them once.  The
+    predictions are one :func:`~logassign.quantile.prediction_table`,
+    computed while the workers solve.  Replicate optima are read back and
+    aggregated in replicate order with compensated summation, so reports
+    do not vary with ``parallelism``.  Any replicate failure aborts the
+    run, cancels the replicates still queued, and raises the
+    :class:`ReplicateError` of the first failing (n, replicate) pair in
+    serial order.  A frozen matrix that cannot be drawn fails replicate 0
+    of its size; under a pool the matrices are all drawn, largest first,
+    before any replicate runs, so such a failure comes first there.  A
+    worker process that dies raises ``BrokenProcessPool``.
     """
-    m, model = config.replicates, config.model
-    tasks = [(model, n, rep, config.master_seed, config.mode)
-             for n in config.sizes for rep in range(m)]
+    m, model, sizes = config.replicates, config.model, config.sizes
+    quenched = config.mode == QUENCHED
+    tasks = [[(model, n, rep, config.master_seed) for rep in range(m)] for n in sizes]
     pool = None
     try:
         if config.parallelism == 1:
-            results = map(_replicate_value, tasks)
+            results = _in_process(tasks, quenched)
         else:
             frozen = {}
-            if config.mode == QUENCHED:
+            if quenched:
                 # Largest first: smaller draws then reuse the heap that larger
                 # draws' temporaries freed, which halves the extra peak memory.
                 frozen = {n: _frozen_gains(model, n, config.master_seed)
-                          for n in reversed(config.sizes)}
+                          for n in reversed(sizes)}
             # One chunk per worker and size, and no worker without a chunk.
             chunk = math.ceil(m / config.parallelism)
-            chunks = len(config.sizes) * math.ceil(m / chunk)
+            chunks = len(sizes) * math.ceil(m / chunk)
             pool = ProcessPoolExecutor(max_workers=min(config.parallelism, chunks),
                                        initializer=_hold_frozen, initargs=(frozen,))
             # map submits at once, so the whole queue stands, largest size
             # first and cheapest chunks last, before the parent predicts.
             # Reading it back in size order raises the first failure in
             # serial order.
-            by_size = [pool.map(_replicate_value, tasks[i * m : (i + 1) * m],
-                                chunksize=chunk)
-                       for i in reversed(range(len(config.sizes)))]
+            by_size = [pool.map(_replicate_value, size_tasks, chunksize=chunk)
+                       for size_tasks in reversed(tasks)]
             results = itertools.chain.from_iterable(reversed(by_size))
-        predictions = [(predicted_max(model, n), asymptotic_prediction(model, n))
-                       for n in config.sizes]
+        predictions = prediction_table(model, sizes)
         optima = list(results)
     finally:
+        _frozen.clear()
         if pool is not None:
             pool.shutdown(cancel_futures=True)
     rows = []
-    for i, (n, (numeric, asymptotic)) in enumerate(zip(config.sizes, predictions)):
+    for i, (n, _, _, numeric, asymptotic) in enumerate(predictions):
         values = optima[i * m : (i + 1) * m]
         mean = _compensated_sum(values) / m
         spread = _compensated_sum([(x - mean) ** 2 for x in values])
@@ -281,19 +299,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         master_seed=config.master_seed,
         rows=tuple(rows),
     )
-
-
-def asymptotic_prediction(model: GainModel, n: int) -> float:
-    """One-term growth law for the expected optimum at size n.
-
-    Defined for n >= 3 so the iterated logarithm is positive; it only
-    becomes a serious approximation once log log n clears 1 (n >= 16).
-    A model with no closed-form law (a density) gives NaN.
-    """
-    n = int(n)
-    if n < 3:
-        raise ValueError("asymptotic prediction needs n >= 3")
-    return model._growth_law(n)
 
 
 def _real(x: float) -> str:

@@ -97,8 +97,10 @@ class GainModel:
     A law defines ``sample``, ``_log_laplace`` and ``spec``, the name it
     carries in reports.  A law with closed forms also defines
     ``_log_laplace_asymptotic``, ``_quantile_law`` and ``_growth_law``;
-    without them it still simulates and predicts numerically, and its
-    asymptotic prediction is NaN.
+    without them it still simulates and predicts numerically.  A closed
+    form that a law lacks, or that is asked for outside its domain, raises
+    ValueError, which the prediction table prints as NaN; a missing growth
+    law is NaN already.
     """
 
     spec: str
@@ -134,7 +136,9 @@ class GainModel:
         raise NotImplementedError
 
     def _log_laplace_asymptotic(self, rho: float) -> float:
-        raise NotImplementedError
+        raise ValueError(
+            f"gain model {type(self).__name__} has no closed-form asymptotic transform"
+        )
 
     def _quantile_law(self, size: float) -> float:
         """Leading behavior of the tail quantile at level exp(-size)."""
@@ -409,12 +413,6 @@ class DensityGain(GainModel):
         if scalar:
             return float(out[0])
         return out.reshape(size)
-
-    def _log_laplace_asymptotic(self, rho: float) -> float:
-        raise ValueError(
-            "user-supplied densities have no closed asymptotic form; "
-            "use log_laplace instead"
-        )
 
     def _log_laplace(self, rho: float) -> float:
         lo = self.lower

@@ -4,7 +4,9 @@ The cost of a single link satisfies P(cost >= r) = L(e^r - 1), writing L for
 the reciprocal-gain transform of the gain model.  Everything here follows
 from numerically inverting that identity: the tail quantile at level p, the
 prediction n * quantile(1/n) for the expected optimum of an n x n instance,
-and diagnostics for how slowly the quantile varies in p.
+and diagnostics for how slowly the quantile varies in p.  ``prediction_table``
+is the one per-size table of predictions that ``predict`` prints and that
+``simulate`` sets beside its simulated optima.
 """
 
 from __future__ import annotations
@@ -12,15 +14,19 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .gains import GainModel
 
 __all__ = [
     "BRACKET_WIDTH",
     "BracketError",
+    "Prediction",
     "QuantileResult",
+    "asymptotic_prediction",
     "asymptotic_quantile",
     "predicted_max",
+    "prediction_table",
     "slow_variation_ratio",
     "tail_probability",
     "tail_quantile",
@@ -131,12 +137,63 @@ def tail_probability(model: GainModel, r: float) -> float:
     return math.exp(model.log_laplace(math.expm1(r)))
 
 
+class Prediction(NamedTuple):
+    """One size's row of :func:`prediction_table`; its fields are the columns."""
+
+    n: int
+    quantile_numeric: float
+    quantile_asymptotic: float
+    predicted_numeric: float
+    predicted_asymptotic: float
+
+
+def prediction_table(model: GainModel, sizes: Iterable[int]) -> list[Prediction]:
+    """The numeric and closed-form quantile at level 1/n and prediction, per size n.
+
+    The numeric prediction is n * quantile(1/n), with every quantile solved
+    in one ``tail_quantiles`` call.  A closed form outside its domain, or
+    one the model lacks, gives NaN: the sharp quantile law needs 1/n below
+    exp(-e), the growth law n >= 3.
+
+    Raises:
+        ValueError: unless 2 <= n < 2**53 for every size, checked before
+            any solve.  From 2**53 on a size is no longer an exact float,
+            and 1/n or n * q(1/n) would describe some other size, or
+            overflow.
+        BracketError, QuadratureError: from the quantile solves.
+    """
+    sizes = [int(n) for n in sizes]
+    if any(not 2 <= n < 2**53 for n in sizes):
+        raise ValueError("every size must be at least 2 and below 2**53")
+    quantiles = tail_quantiles(model, [1.0 / n for n in sizes])
+    return [Prediction(n, quantile.r, _or_nan(asymptotic_quantile, model, 1.0 / n),
+                       n * quantile.r, _or_nan(asymptotic_prediction, model, n))
+            for n, quantile in zip(sizes, quantiles)]
+
+
+def _or_nan(law, model: GainModel, x) -> float:
+    try:
+        return law(model, x)
+    except ValueError:
+        return math.nan
+
+
 def predicted_max(model: GainModel, n: int) -> float:
-    """Prediction n * quantile(1/n) for the expected optimal assignment value."""
+    """Prediction n * quantile(1/n) for the expected optimum; one row of the table."""
+    return prediction_table(model, (n,))[0].predicted_numeric
+
+
+def asymptotic_prediction(model: GainModel, n: int) -> float:
+    """One-term growth law for the expected optimum at size n.
+
+    Defined for n >= 3 so the iterated logarithm is positive; it only
+    becomes a serious approximation once log log n clears 1 (n >= 16).
+    A model with no closed-form law (a density) gives NaN.
+    """
     n = int(n)
-    if n < 2:
-        raise ValueError("prediction needs n >= 2")
-    return n * tail_quantile(model, 1.0 / n).r
+    if n < 3:
+        raise ValueError("asymptotic prediction needs n >= 3")
+    return model._growth_law(n)
 
 
 def asymptotic_quantile(model: GainModel, p: float) -> float:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import os
@@ -35,6 +37,20 @@ def test_parse_sizes_rejects_malformed_text(bad: str) -> None:
 
     with pytest.raises(click.UsageError):
         parse_sizes(bad)
+
+
+@pytest.mark.parametrize("model", ["exp", "pareto:3"])
+def test_simulate_prints_the_predictions_of_predict(model: str) -> None:
+    predicted = _run("predict", model, "3..40")
+    simulated = _run("simulate", model, "--sizes", "3..40", "--replicates", "2")
+    assert predicted.exit_code == 0 and simulated.exit_code == 0
+
+    def columns(text: str) -> list[tuple[str, ...]]:
+        return [(row["n"], row["predicted_numeric"], row["predicted_asymptotic"])
+                for row in csv.DictReader(io.StringIO(text))]
+
+    assert columns(simulated.output) == columns(predicted.output)
+    assert len(columns(predicted.output)) == 38
 
 
 def test_predict_constant_matches_closed_form() -> None:
@@ -310,6 +326,18 @@ def test_tail_check_passes_for_matching_model() -> None:
     zero_row = lines[1].split(",")
     assert float(zero_row[1]) == 1.0
     assert float(zero_row[3]) == 0.0
+
+
+def test_tail_check_bytes_are_pinned() -> None:
+    result = _run("tail-check", "exp", "--samples", "20000", "--seed", "3")
+    assert result.exit_code == 0
+    assert result.output == (
+        "r,empirical,theoretical,z_score\n"
+        "0.5,0.38274999999999998,0.38175856057462698,0.2886075810363109\n"
+        "1,0.16664999999999999,0.16664468860479489,0.0020156390940962439\n"
+        "2,0.018450000000000001,0.01922706624990991,-0.80026218797211679\n"
+        "3,0.00044999999999999999,0.00061917462374976398,-0.96178530298747833\n"
+    )
 
 
 def test_tail_check_exits_five_when_the_curve_is_wrong(monkeypatch) -> None:

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+import gc
 import os
 import pickle
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -102,6 +104,46 @@ class TwoPointGain(GainModel):
 
     def _growth_law(self, n):
         return n * math.log(math.log(n))
+
+
+@dataclass
+class ScaledExponentialGain(GainModel):
+    """Exponential gains of mean ``scale``: a plain dataclass law, so unhashable.
+
+    Defined at module level so that pool workers can unpickle it.
+    """
+
+    scale: float = 2.0
+    spec = "scaled-exp"
+
+    def sample(self, rng, size=None):
+        return self.scale * rng.exponential(size=size)
+
+    def _log_laplace(self, rho):
+        return ExponentialGain()._log_laplace(rho / self.scale)
+
+
+@dataclass(frozen=True)
+class NoFourGain(ExponentialGain):
+    """Exponential gains that cannot be drawn as a 4 x 4 matrix."""
+
+    def sample(self, rng, size=None):
+        if size == (4, 4):
+            raise RuntimeError("no 4 x 4 draw")
+        return super().sample(rng, size)
+
+
+@dataclass(frozen=True)
+class WatchedFrozenGain(ParetoGain):
+    """Pareto gains that record, per draw, the frozen matrices then held and the draw."""
+
+    def sample(self, rng, size=None):
+        gains = super().sample(rng, size)
+        _DRAWS.append((len(experiment._frozen), weakref.ref(gains)))
+        return gains
+
+
+_DRAWS: list = []
 
 
 @dataclass(frozen=True)
@@ -262,6 +304,43 @@ def test_pool_workers_get_frozen_gains_from_the_parent() -> None:
                     mode="quenched")
     serial = run_experiment(_config(**settings, parallelism=1))
     assert run_experiment(_config(**settings, parallelism=2)) == serial
+
+
+def test_an_unhashable_law_runs_quenched_in_process_and_under_a_pool() -> None:
+    model = ScaledExponentialGain()
+    with pytest.raises(TypeError):
+        hash(model)
+    settings = dict(model=model, sizes=(3, 4, 6), replicates=5, mode="quenched")
+    # The text, as the asymptotic columns hold NaN, which equals nothing.
+    serial = report_csv_text(run_experiment(_config(**settings, parallelism=1)))
+    assert report_csv_text(run_experiment(_config(**settings, parallelism=2))) == serial
+
+
+def test_a_failing_frozen_draw_fails_replicate_zero_of_its_size() -> None:
+    settings = dict(model=NoFourGain(), sizes=(3, 4, 5), mode="quenched")
+    errors = []
+    for parallelism in (1, 2):
+        with pytest.raises(ReplicateError) as info:
+            run_experiment(_config(**settings, parallelism=parallelism))
+        errors.append((info.value.n, info.value.replicate, str(info.value)))
+    assert errors[0] == errors[1]
+    assert errors[0][:2] == (4, 0)
+    assert "no 4 x 4 draw" in errors[0][2]
+
+
+def test_in_process_quenched_run_holds_one_frozen_matrix_at_a_time() -> None:
+    _DRAWS.clear()
+    run_experiment(_config(model=WatchedFrozenGain(alpha=3.0), sizes=(3, 4, 6),
+                           mode="quenched"))
+    # Each draw comes after the previous size's matrix was let go, and
+    # none outlives the run.
+    assert [held for held, _ in _DRAWS] == [0, 0, 0]
+    gc.collect()
+    assert [draw() for _, draw in _DRAWS] == [None, None, None]
+    assert experiment._frozen == {}
+    with pytest.raises(ReplicateError):
+        run_experiment(_config(model=NoFourGain(), sizes=(3, 4, 6), mode="quenched"))
+    assert experiment._frozen == {}
 
 
 def test_quenched_constant_gain_equals_annealed() -> None:

@@ -15,6 +15,7 @@ from logassign import (
     ConstantGain,
     DensityGain,
     ExponentialGain,
+    GainModel,
     ModelSpecError,
     ParetoGain,
     QuadratureError,
@@ -326,10 +327,27 @@ def test_pareto_asymptotic_spot_value() -> None:
     )
 
 
+class UnitGain(GainModel):
+    """Gain 1 on every link: a law defined outside the package, with no closed forms."""
+
+    spec = "unit"
+
+    def sample(self, rng, size=None):
+        return np.ones(size) if size is not None else 1.0
+
+    def _log_laplace(self, rho):
+        return -rho
+
+
 def test_user_density_has_no_asymptotic_form() -> None:
     flat = DensityGain(density=lambda y: 1.0, lower=1.0, upper=2.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="DensityGain has no closed-form"):
         flat.log_laplace_asymptotic(10.0)
+    # A law defined elsewhere signals a missing closed form the same way.
+    with pytest.raises(ValueError, match="UnitGain has no closed-form"):
+        UnitGain().log_laplace_asymptotic(10.0)
+    with pytest.raises(ValueError, match="UnitGain has no closed-form"):
+        UnitGain()._quantile_law(10.0)
 
 
 def test_user_density_transform_against_closed_form() -> None:

@@ -13,9 +13,12 @@ from logassign import (
     ExponentialGain,
     GainModel,
     ParetoGain,
+    Prediction,
     UniformGain,
+    asymptotic_prediction,
     asymptotic_quantile,
     predicted_max,
+    prediction_table,
     slow_variation_ratio,
     tail_probability,
     tail_quantile,
@@ -136,6 +139,37 @@ def test_predicted_max_scales_the_quantile() -> None:
     assert predicted_max(model, 10) == pytest.approx(11.947055233, abs=1e-6)
     with pytest.raises(ValueError):
         predicted_max(model, 1)
+
+
+def test_prediction_table_rows_come_from_one_shared_solve() -> None:
+    model = ExponentialGain()
+    sizes = (2, 3, 16, 1000)
+    table = prediction_table(model, sizes)
+    assert Prediction._fields == ("n", "quantile_numeric", "quantile_asymptotic",
+                                  "predicted_numeric", "predicted_asymptotic")
+    assert [row.n for row in table] == list(sizes)
+    for row, quantile in zip(table, tail_quantiles(model, [1.0 / n for n in sizes])):
+        assert row.quantile_numeric == quantile.r
+        assert row.predicted_numeric == row.n * quantile.r == predicted_max(model, row.n)
+    # 1/2 and 1/3 lie above exp(-e), and the growth law needs n >= 3.
+    assert math.isnan(table[0].quantile_asymptotic)
+    assert math.isnan(table[0].predicted_asymptotic)
+    assert math.isnan(table[1].quantile_asymptotic)
+    assert table[1].predicted_asymptotic == asymptotic_prediction(model, 3)
+    assert table[3].quantile_asymptotic == asymptotic_quantile(model, 1e-3)
+    assert table[3].predicted_asymptotic == asymptotic_prediction(model, 1000)
+
+
+def test_prediction_table_checks_every_size_before_solving() -> None:
+    model = CountingGain(ConstantGain(1.0))
+    for bad in ((5, 1), (5, 2**53)):
+        with pytest.raises(ValueError, match="below 2\\*\\*53"):
+            prediction_table(model, bad)
+    assert model.calls == 0
+    # A law with no closed forms still predicts numerically.
+    (row,) = prediction_table(model, (16,))
+    assert row.predicted_numeric == 16 * tail_quantile(ConstantGain(1.0), 1 / 16).r
+    assert math.isnan(row.quantile_asymptotic) and math.isnan(row.predicted_asymptotic)
 
 
 def test_asymptotic_quantile_forms() -> None:
