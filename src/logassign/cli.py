@@ -176,31 +176,32 @@ def tail_check(model_spec, thresholds, samples, seed):
         grid = tuple(float(part) for part in thresholds.split(","))
     except ValueError:
         raise click.UsageError(f"bad thresholds {thresholds!r}") from None
-    if any(r < 0 or math.isnan(r) for r in grid):
-        raise click.UsageError("thresholds must be nonnegative")
     samples = int(samples)
     if not 10_000 <= samples <= _MAX_SAMPLES:
         raise click.UsageError(f"--samples must lie between 10000 and {_MAX_SAMPLES}")
     if not 0 <= seed < 2**64:
         raise click.UsageError("seed must fit in an unsigned 64-bit integer")
+    # Every threshold is checked, and its probability computed, before the draw.
+    try:
+        curve = [tail_probability(model, r) for r in grid]
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from None
+    except (BracketError, QuadratureError) as exc:
+        _fail(EXIT_NUMERIC, str(exc))
     rng = replicate_stream(seed, 0, 0, purpose=_PURPOSE_TAIL_CHECK)
     costs = sample_cost(model, rng, size=samples)
     click.echo("r,empirical,theoretical,z_score")
     failed = False
-    try:
-        for r in grid:
-            empirical = float(np.mean(costs >= r))
-            theoretical = tail_probability(model, r)
-            spread = math.sqrt(theoretical * (1.0 - theoretical) / samples)
-            if spread == 0.0:
-                z = 0.0 if empirical == theoretical else math.inf
-            else:
-                z = (empirical - theoretical) / spread
-            if abs(z) > 4.0:
-                failed = True
-            click.echo(f"{_real(r)},{_real(empirical)},{_real(theoretical)},{_real(z)}")
-    except (BracketError, QuadratureError) as exc:
-        _fail(EXIT_NUMERIC, str(exc))
+    for r, theoretical in zip(grid, curve):
+        empirical = float(np.mean(costs >= r))
+        spread = math.sqrt(theoretical * (1.0 - theoretical) / samples)
+        if spread == 0.0:
+            z = 0.0 if empirical == theoretical else math.inf
+        else:
+            z = (empirical - theoretical) / spread
+        if abs(z) > 4.0:
+            failed = True
+        click.echo(f"{_real(r)},{_real(empirical)},{_real(theoretical)},{_real(z)}")
     if failed:
         _fail(EXIT_TAIL_CHECK, "an empirical tail frequency sits more than 4 sigma out")
 

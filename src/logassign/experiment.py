@@ -260,6 +260,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             # One chunk per worker and size, and no worker without a chunk.
             chunk = math.ceil(m / config.parallelism)
             chunks = len(sizes) * math.ceil(m / chunk)
+            # solve_max_assignment imports scipy.optimize on first use.  Import
+            # it before the pool forks its workers, so they inherit it rather
+            # than each paying the import, in time and in private memory.
+            import scipy.optimize  # noqa: F401
             pool = ProcessPoolExecutor(max_workers=min(config.parallelism, chunks),
                                        initializer=_hold_frozen, initargs=(frozen,))
             # map submits at once, so the whole queue stands, largest size

@@ -12,6 +12,16 @@ one quadrature per instance.  A
 user-supplied density is integrated by adaptive quadrature after factoring
 the integrand maximum out of the exponent, which keeps the working range of
 the integrator away from underflow however large rho becomes.
+
+Of scipy, importing this module loads ``scipy.special`` alone.  The
+functions that integrate import ``scipy.integrate``, and ``DensityGain``'s
+peak search imports ``scipy.optimize``, when first called.  So ``predict``
+and ``tail-check`` of the built-in laws load neither, except that
+``pareto:<alpha>`` loads ``scipy.integrate``, and with it
+``scipy.optimize``, when it first reaches its far tail, rho >= alpha + 700,
+until a closed form replaces that quadrature (ROADMAP item 2).
+``simulate`` and ``solve`` load ``scipy.optimize`` for the solver in
+``matching``.
 """
 
 from __future__ import annotations
@@ -24,8 +34,6 @@ from typing import Callable
 
 import numpy as np
 from scipy import special
-from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
 
 __all__ = [
     "MODEL_SPEC_GRAMMAR",
@@ -69,6 +77,8 @@ class QuadratureError(RuntimeError):
 
 
 def _integral(fn, lo: float, hi: float, label: str = "integrand") -> tuple[float, float]:
+    from scipy.integrate import quad
+
     try:
         value, estimate = quad(
             fn, lo, hi, epsabs=0.0, epsrel=_QUAD_EPSREL, limit=_QUAD_LIMIT, full_output=1,
@@ -378,6 +388,8 @@ class DensityGain(GainModel):
     def _truncation_point(self) -> float:
         if math.isfinite(self.upper):
             return self.upper
+        from scipy.integrate import quad
+
         cut = max(2.0 * max(self.lower, 1.0), self.lower + 1.0)
         for _ in range(120):
             tail, _ = _integral(self.density, cut, 2.0 * cut, "user density")
@@ -461,6 +473,8 @@ class DensityGain(GainModel):
         left = grid[max(k - 1, 0)]
         right = grid[min(k + 1, len(grid) - 1)]
         if right > left:
+            from scipy.optimize import minimize_scalar
+
             sol = minimize_scalar(
                 lambda y: rho / y - self._log_density(float(y)),
                 bounds=(left, right), method="bounded",

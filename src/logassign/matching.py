@@ -17,7 +17,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 __all__ = [
     "MAX_BRUTE_FORCE_SIZE",
@@ -92,6 +91,8 @@ def solve_max_assignment(matrix) -> Assignment:
     does not depend on how the solver accumulates costs.  Among tied optima
     the permutation returned is unspecified.
     """
+    from scipy.optimize import linear_sum_assignment
+
     m = as_cost_matrix(matrix)
     _, column_of_row = linear_sum_assignment(m, maximize=True)
     permutation = tuple(int(j) for j in column_of_row)

@@ -12,6 +12,7 @@ is the one per-size table of predictions that ``predict`` prints and that
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -34,7 +35,9 @@ __all__ = [
 ]
 
 BRACKET_WIDTH = 1e-10
-_MAX_DOUBLINGS = 200
+# The largest r at which e^r - 1 is still a finite double; math.expm1
+# overflows past it.
+_R_MAX = math.log(sys.float_info.max)
 _DOUBLE_LOG_GUARD = math.exp(-math.e)
 
 
@@ -63,7 +66,8 @@ def tail_quantile(model: GainModel, p: float) -> QuantileResult:
 
     Raises:
         ValueError: unless 0 < p < 1.
-        BracketError: if 200 doublings never straddle log p.
+        BracketError: if the quantile lies beyond the largest r at which
+            e^r - 1 is a double.
     """
     return tail_quantiles(model, (p,))[0]
 
@@ -72,7 +76,8 @@ def tail_quantiles(model: GainModel, levels: Iterable[float]) -> list[QuantileRe
     """Solve L(e^r - 1) = p for r by bisection, at each level p in turn.
 
     The map r -> log L(e^r - 1) is continuous and strictly decreasing from 0,
-    so a bracket found by doubling r from [0, 1] is bisected to width
+    so a bracket found by doubling r from [0, 1], up to the largest r at
+    which e^r - 1 is a double (about 709.78), is bisected to width
     ``BRACKET_WIDTH``.  Every level starts from the same bracket, so the
     levels of one call share many points r; each is evaluated once per
     call and forgotten when it returns.  As ``model.log_laplace`` depends
@@ -81,7 +86,7 @@ def tail_quantiles(model: GainModel, levels: Iterable[float]) -> list[QuantileRe
     Raises:
         ValueError: unless 0 < p < 1 for every level, checked before any
             solve.
-        BracketError: if 200 doublings never straddle log p.
+        BracketError: if a quantile lies beyond that largest r.
     """
     levels = [float(p) for p in levels]
     if not all(0.0 < p < 1.0 for p in levels):
@@ -100,14 +105,13 @@ def _bisect(defect: Callable[[float], float], p: float) -> QuantileResult:
     target = math.log(p)
     low, high = 0.0, 1.0
     value_high = defect(high)
-    doublings = 0
     while value_high > target:
-        low, high = high, 2.0 * high
-        doublings += 1
-        if doublings > _MAX_DOUBLINGS:
+        if high == _R_MAX:
             raise BracketError(
-                f"no bracket for p = {p:g} after {_MAX_DOUBLINGS} doublings"
+                f"no bracket for p = {p:g}: the quantile lies beyond r = {_R_MAX!r}, "
+                "where e^r - 1 overflows a double"
             )
+        low, high = high, min(2.0 * high, _R_MAX)
         value_high = defect(high)
     iterations = 0
     while high - low > BRACKET_WIDTH:
@@ -130,10 +134,19 @@ def _bisect(defect: Callable[[float], float], p: float) -> QuantileResult:
 
 
 def tail_probability(model: GainModel, r: float) -> float:
-    """P(link cost >= r), i.e. L(e^r - 1); the inverse of the quantile."""
+    """P(link cost >= r), i.e. L(e^r - 1); the inverse of the quantile.
+
+    Raises:
+        ValueError: unless 0 <= r <= log(DBL_MAX), about 709.78; beyond it
+            e^r - 1 overflows a double.
+    """
     r = float(r)
     if math.isnan(r) or r < 0.0:
         raise ValueError("threshold r must be nonnegative")
+    if r > _R_MAX:
+        raise ValueError(
+            f"threshold r = {r!r} exceeds {_R_MAX!r}, where e^r - 1 overflows a double"
+        )
     return math.exp(model.log_laplace(math.expm1(r)))
 
 

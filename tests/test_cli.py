@@ -68,6 +68,22 @@ def test_predict_constant_matches_closed_form() -> None:
     assert math.isnan(float(fields[2]))
 
 
+def test_predict_and_simulate_solve_a_quantile_beyond_r_512() -> None:
+    result = _run("predict", "constant:1e223", "16")
+    assert result.exit_code == 0, result.output
+    quantile = float(result.output.strip().splitlines()[1].split(",")[1])
+    assert abs(quantile - math.log1p(1e223 * math.log(16.0))) <= 1e-10
+    result = _run("simulate", "constant:1e223", "--sizes", "16", "--replicates", "2")
+    assert result.exit_code == 0, result.output
+
+
+def test_predict_reports_a_quantile_past_the_double_range_as_numeric_failure() -> None:
+    result = _run("predict", "constant:1e308", "16")
+    assert result.exit_code == cli.EXIT_NUMERIC
+    assert "overflows a double" in result.output
+    assert "Traceback" not in result.output
+
+
 def test_predict_pareto_reports_growth_law() -> None:
     result = _run("predict", "pareto:3", "100")
     assert result.exit_code == 0
@@ -379,6 +395,19 @@ def test_tail_check_reports_an_overflowing_far_tail_as_numeric_failure() -> None
     result = _run("tail-check", "pareto:150", "--thresholds", "7", "--samples", "10000")
     assert result.exit_code == cli.EXIT_NUMERIC
     assert "pareto:150.0" in result.output and "overflow" in result.output
+    assert "Traceback" not in result.output
+
+
+def test_tail_check_rejects_a_threshold_past_the_double_range_before_drawing(
+    monkeypatch,
+) -> None:
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew costs")
+
+    monkeypatch.setattr(cli, "sample_cost", refuse)
+    result = _run("tail-check", "exp", "--thresholds", "1,710", "--samples", "10000")
+    assert result.exit_code == 2
+    assert "overflows a double" in result.output
     assert "Traceback" not in result.output
 
 

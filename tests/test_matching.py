@@ -6,11 +6,20 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.optimize import linear_sum_assignment, linprog
 
 from logassign import (
     Assignment,
+    ConstantGain,
+    ExponentialGain,
+    ParetoGain,
+    UniformGain,
     assignment_value,
     brute_force_max_assignment,
+    generate_cost_matrix,
+    model_spec_string,
+    replicate_stream,
     solve_max_assignment,
 )
 from logassign import matching
@@ -36,7 +45,7 @@ def test_assignment_value_rejects_non_integer_entries() -> None:
 def test_assignment_value_takes_numpy_integer_permutations() -> None:
     for dtype in (np.int64, np.int32, np.intp):
         assert assignment_value(DEMO, np.array([0, 1, 2], dtype=dtype)) == 9.0
-    _, columns = matching.linear_sum_assignment(np.asarray(DEMO), maximize=True)
+    _, columns = linear_sum_assignment(np.asarray(DEMO), maximize=True)
     assert assignment_value(DEMO, columns) == 9.0
 
 
@@ -197,3 +206,71 @@ def test_solver_checks_its_input_once(monkeypatch) -> None:
 def test_brute_force_rejects_large_instances() -> None:
     with pytest.raises(ValueError):
         brute_force_max_assignment(np.zeros((11, 11)))
+
+
+def _lp_duals(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal duals (u, v) of the assignment LP, solved by HiGHS.
+
+    The dual of the max-assignment LP is: minimize sum u + sum v subject to
+    u_i + v_j >= c_ij.  HiGHS shares no code with linear_sum_assignment.
+    """
+    n = costs.shape[0]
+    cells = np.arange(n * n)
+    rows, columns = np.divmod(cells, n)
+    # Row i*n + j of the constraints reads -(u_i + v_j) <= -c_ij.
+    constraints = sparse.csr_matrix(
+        (np.full(2 * n * n, -1.0), (np.tile(cells, 2), np.concatenate([rows, n + columns]))),
+        shape=(n * n, 2 * n),
+    )
+    result = linprog(
+        np.ones(2 * n), A_ub=constraints, b_ub=-costs.ravel(), bounds=(None, None),
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert result.status == 0, result.message
+    return result.x[:n], result.x[n:]
+
+
+def _assert_certified_optimal(costs: np.ndarray) -> None:
+    # By weak duality every assignment scores at most sum u + sum v for a
+    # feasible (u, v), so duals that are feasible and match the solver's
+    # value certify that value as the optimum.
+    u, v = _lp_duals(costs)
+    value = solve_max_assignment(costs).value
+    assert (costs - u[:, None] - v[None, :]).max() <= 1e-12 * np.abs(costs).max()
+    assert abs(u.sum() + v.sum() - value) <= 1e-12 * abs(value)
+
+
+_LP_LAWS = (ConstantGain(1.0), ExponentialGain(), ParetoGain(3.0), UniformGain(),
+            ParetoGain(1.05))
+
+
+@pytest.mark.parametrize("n", [20, 100])
+@pytest.mark.parametrize("model", _LP_LAWS, ids=model_spec_string)
+def test_lp_duals_certify_the_solver_on_every_law(model, n) -> None:
+    _assert_certified_optimal(generate_cost_matrix(model, n, replicate_stream(2, n, 0)))
+
+
+@pytest.mark.parametrize(
+    "model, n",
+    [pytest.param(ParetoGain(1.05), 150, marks=pytest.mark.slow),
+     pytest.param(ExponentialGain(), 200, marks=pytest.mark.slow)],
+    ids=["pareto:1.05-150", "exp-200"],
+)
+def test_lp_duals_certify_the_solver_on_larger_instances(model, n) -> None:
+    _assert_certified_optimal(generate_cost_matrix(model, n, replicate_stream(2, n, 0)))
+
+
+_CRAFTED = {
+    "integer": lambda rng: rng.integers(0, 1000, size=(60, 60)).astype(float),
+    # Costs from {0, 1, 2}: many optima tie.
+    "tied": lambda rng: rng.integers(0, 3, size=(50, 50)).astype(float),
+    # Near degenerate: noise of 1e-12 decides the optimum of a rank-one matrix.
+    "rank-one": lambda rng: (np.outer(rng.random(100), rng.random(100))
+                             + 1e-12 * rng.random((100, 100))),
+}
+
+
+@pytest.mark.parametrize("kind", _CRAFTED)
+def test_lp_duals_certify_the_solver_on_crafted_instances(kind) -> None:
+    _assert_certified_optimal(_CRAFTED[kind](np.random.default_rng(12)))

@@ -1,6 +1,16 @@
-"""The package namespace: each public name is listed once, in its module."""
+"""The package namespace: each public name is listed once, in its module.
+
+Also what importing the package loads: scipy's quadrature and optimizers
+only where a command runs them.
+"""
 
 from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import logassign
 from logassign import experiment, gains, matching, quantile
@@ -20,3 +30,52 @@ def test_package_all_is_the_union_of_the_module_lists() -> None:
 def test_asymptotic_prediction_resolves_in_both_its_homes() -> None:
     assert logassign.asymptotic_prediction is quantile.asymptotic_prediction
     assert experiment.asymptotic_prediction is quantile.asymptotic_prediction
+
+
+_HEAVY = ("scipy.integrate", "scipy.optimize")
+
+
+def _loaded_after(tmp_path: Path, script: str) -> list[str]:
+    """Which of ``_HEAVY`` a fresh interpreter has loaded after ``script``."""
+    package_root = str(Path(logassign.__file__).resolve().parent.parent)
+    search_path = [package_root, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, search_path))}
+    code = script + f"\nprint(json.dumps([m for m in {_HEAVY!r} if m in sys.modules]))\n"
+    completed = subprocess.run(
+        [sys.executable, "-c", "import json, sys\n" + code],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert completed.returncode == 0, completed.stderr
+    return json.loads(completed.stdout.splitlines()[-1])
+
+
+def test_commands_without_quadrature_or_solver_load_neither(tmp_path) -> None:
+    report = experiment.ExperimentReport(
+        "exp", "annealed", 2, 0, (experiment.ReportRow(3, 2.5, 0.1, 2.4, 2.2, 0.04, 0.12),)
+    )
+    (tmp_path / "report.csv").write_text(experiment.report_csv_text(report))
+    commands = [
+        ["predict", "exp", "10..1000:10"],
+        ["predict", "uniform", "16,100,10000"],
+        ["tail-check", "uniform", "--samples", "10000"],
+        ["compare", "report.csv"],
+        ["--help"],
+    ]
+    script = (
+        "import logassign.cli\n"
+        f"for args in {commands!r}:\n"
+        "    code = logassign.cli.main.main(args=args, prog_name='logassign',\n"
+        "                                   standalone_mode=False)\n"
+        "    assert code in (0, None), (args, code)\n"
+    )
+    assert _loaded_after(tmp_path, script) == []
+
+
+def test_a_pooled_run_loads_the_solver_before_its_workers_start(tmp_path) -> None:
+    script = (
+        "import logassign\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+        "logassign.run_experiment(logassign.ExperimentConfig(\n"
+        "    logassign.ExponentialGain(), (3, 4), replicates=2, parallelism=2))\n"
+    )
+    assert "scipy.optimize" in _loaded_after(tmp_path, script)

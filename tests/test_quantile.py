@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import pytest
 
 from logassign import (
     BRACKET_WIDTH,
+    BracketError,
     ConstantGain,
     DensityGain,
     ExponentialGain,
@@ -35,6 +37,29 @@ def test_constant_gain_quantile_matches_closed_form(c: float) -> None:
         p = 10.0**-k
         expected = math.log1p(c * abs(math.log(p)))
         assert abs(tail_quantile(model, p).r - expected) <= 1e-9
+
+
+def test_quantile_beyond_r_512_matches_closed_form() -> None:
+    # The search doubles r from 1, so this root, past 512, once led it to
+    # r = 1024, where e^r - 1 overflows.
+    result = tail_quantile(ConstantGain(1e223), 1.0 / 16.0)
+    assert result.r > 512.0
+    assert abs(result.r - math.log1p(1e223 * math.log(16.0))) <= 1e-10
+
+
+def test_quantile_past_the_double_range_is_a_bracket_error() -> None:
+    # The root is log1p(1e308 * log 16), beyond log(DBL_MAX) = 709.78.
+    with pytest.raises(BracketError, match="overflows a double"):
+        tail_quantile(ConstantGain(1e308), 1.0 / 16.0)
+
+
+def test_tail_probability_takes_thresholds_up_to_the_double_range() -> None:
+    r_max = math.log(sys.float_info.max)
+    expected = math.exp(-math.expm1(r_max) / 1e308)
+    assert tail_probability(ConstantGain(1e308), r_max) == pytest.approx(expected, rel=1e-13)
+    for bad in (math.nextafter(r_max, math.inf), 710.0, math.inf):
+        with pytest.raises(ValueError, match="overflows a double"):
+            tail_probability(ExponentialGain(), bad)
 
 
 def test_constant_unit_gain_at_p_exp_minus_one() -> None:
