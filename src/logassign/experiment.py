@@ -7,16 +7,15 @@ report still comes out bit-identical.  Quenched runs key one extra stream
 per size from (master seed, size) for the frozen gain matrix and leave the
 replicate streams untouched, which makes a constant-gain quenched run
 coincide exactly with its annealed twin.  The parent draws each frozen
-matrix once; no task carries one.  A replicate finds its size's frozen
-matrix in the module's ``_frozen`` table, so runs in one process must not
-overlap in threads.
+matrix once, read-only, and every replicate task of that size carries it.
+The module holds no state, so runs may overlap in threads.
 
 A run with ``parallelism > 1`` opens one process pool for all its sizes,
 with no more workers than it has chunks.  Each size's replicates go out in
 one chunk per worker, largest size first, so the chunks left at the end
-are the cheapest.  Each worker receives every frozen matrix of the run
-once, when it starts, and the parent computes the predictions while the
-workers solve.
+are the cheapest.  The executor pickles a chunk in one call, so each chunk
+carries its size's frozen matrix once, and the parent computes the
+predictions while the workers solve.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .gains import GainModel, generate_cost_matrix, model_spec_string
+from .gains import GainModel, generate_cost_matrix
 from .matching import solve_max_assignment
 # asymptotic_prediction is imported for callers that take it from here.
 from .quantile import asymptotic_prediction, prediction_table
@@ -164,16 +163,6 @@ def replicate_stream(
     return np.random.Generator(np.random.Philox(key=key))
 
 
-# The frozen gain matrices of the quenched run in progress, by size: each
-# pool worker's initializer puts in all of them, an in-process run the one
-# of the size it is solving.  Empty between runs and in annealed runs.
-_frozen: dict[int, np.ndarray] = {}
-
-
-def _hold_frozen(gains: dict[int, np.ndarray]) -> None:
-    _frozen.update(gains)
-
-
 def _frozen_gains(model: GainModel, n: int, master_seed: int) -> np.ndarray:
     """Draw the frozen gain matrix of size n; a failure is replicate 0's."""
     rng = replicate_stream(master_seed, n, 0, purpose=_PURPOSE_QUENCHED_GAINS)
@@ -186,20 +175,24 @@ def _frozen_gains(model: GainModel, n: int, master_seed: int) -> np.ndarray:
     return gains
 
 
-def _in_process(tasks_by_size, quenched: bool):
-    """Replicate optima size by size, holding one frozen matrix at a time."""
-    for tasks in tasks_by_size:
-        model, n, _, master_seed = tasks[0]
-        _frozen.clear()
-        if quenched:
-            _frozen[n] = _frozen_gains(model, n, master_seed)
-        yield from map(_replicate_value, tasks)
+def _size_tasks(config: ExperimentConfig, n: int) -> list[tuple]:
+    """The replicate tasks of size n, each with its size's frozen gains or None."""
+    gains = None
+    if config.mode == QUENCHED:
+        gains = _frozen_gains(config.model, n, config.master_seed)
+    return [(config.model, n, rep, config.master_seed, gains)
+            for rep in range(config.replicates)]
+
+
+def _raising(error: Exception):
+    """An iterator that raises ``error`` when it is first read."""
+    raise error
+    yield
 
 
 def _replicate_value(args) -> float:
-    model, n, replicate, master_seed = args
+    model, n, replicate, master_seed, gains = args
     try:
-        gains = _frozen.get(n)
         rng = replicate_stream(master_seed, n, replicate)
         matrix = generate_cost_matrix(model, n, rng, gain_matrix=gains)
         return solve_max_assignment(matrix).value
@@ -229,34 +222,25 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     ``parallelism == 1``) of at most as many workers as there are chunks.
     Each size is split into at most ``parallelism`` chunks of
     ``ceil(replicates / parallelism)`` replicates, queued largest size
-    first.  The parent draws the frozen gain matrices of a quenched run:
-    in process, each just before its size's replicates; for a pool, all of
-    them before it starts, and the workers each receive them once.  The
-    predictions are one :func:`~logassign.quantile.prediction_table`,
-    computed while the workers solve.  Replicate optima are read back and
-    aggregated in replicate order with compensated summation, so reports
-    do not vary with ``parallelism``.  Any replicate failure aborts the
-    run, cancels the replicates still queued, and raises the
-    :class:`ReplicateError` of the first failing (n, replicate) pair in
-    serial order.  A frozen matrix that cannot be drawn fails replicate 0
-    of its size; under a pool the matrices are all drawn, largest first,
-    before any replicate runs, so such a failure comes first there.  A
-    worker process that dies raises ``BrokenProcessPool``.
+    first.  The parent draws each frozen gain matrix of a quenched run as
+    it builds that size's tasks, which carry it; in process it holds one
+    at a time.  The predictions are one
+    :func:`~logassign.quantile.prediction_table`, computed while the
+    workers solve.  Replicate optima are read back and aggregated in
+    replicate order with compensated summation, so reports do not vary
+    with ``parallelism``.  Any replicate failure aborts the run, cancels
+    the replicates still queued, and raises the :class:`ReplicateError` of
+    the first failing (n, replicate) pair in serial order.  A frozen
+    matrix that cannot be drawn fails replicate 0 of its size.  A worker
+    process that dies raises ``BrokenProcessPool``.
     """
     m, model, sizes = config.replicates, config.model, config.sizes
-    quenched = config.mode == QUENCHED
-    tasks = [[(model, n, rep, config.master_seed) for rep in range(m)] for n in sizes]
     pool = None
     try:
         if config.parallelism == 1:
-            results = _in_process(tasks, quenched)
+            results = itertools.chain.from_iterable(
+                map(_replicate_value, _size_tasks(config, n)) for n in sizes)
         else:
-            frozen = {}
-            if quenched:
-                # Largest first: smaller draws then reuse the heap that larger
-                # draws' temporaries freed, which halves the extra peak memory.
-                frozen = {n: _frozen_gains(model, n, config.master_seed)
-                          for n in reversed(sizes)}
             # One chunk per worker and size, and no worker without a chunk.
             chunk = math.ceil(m / config.parallelism)
             chunks = len(sizes) * math.ceil(m / chunk)
@@ -264,19 +248,25 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             # it before the pool forks its workers, so they inherit it rather
             # than each paying the import, in time and in private memory.
             import scipy.optimize  # noqa: F401
-            pool = ProcessPoolExecutor(max_workers=min(config.parallelism, chunks),
-                                       initializer=_hold_frozen, initargs=(frozen,))
+            pool = ProcessPoolExecutor(max_workers=min(config.parallelism, chunks))
             # map submits at once, so the whole queue stands, largest size
             # first and cheapest chunks last, before the parent predicts.
-            # Reading it back in size order raises the first failure in
-            # serial order.
-            by_size = [pool.map(_replicate_value, size_tasks, chunksize=chunk)
-                       for size_tasks in reversed(tasks)]
+            # Largest first also lets smaller frozen draws reuse the heap that
+            # larger draws' temporaries freed.  A draw that fails is raised
+            # only when its size is read back, and reading sizes in order
+            # raises the first failure in serial order.
+            by_size = []
+            for n in reversed(sizes):
+                try:
+                    tasks = _size_tasks(config, n)
+                except ReplicateError as error:
+                    by_size.append(_raising(error))
+                else:
+                    by_size.append(pool.map(_replicate_value, tasks, chunksize=chunk))
             results = itertools.chain.from_iterable(reversed(by_size))
         predictions = prediction_table(model, sizes)
         optima = list(results)
     finally:
-        _frozen.clear()
         if pool is not None:
             pool.shutdown(cancel_futures=True)
     rows = []
@@ -297,7 +287,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             )
         )
     return ExperimentReport(
-        model=model_spec_string(model),
+        model=model.spec,
         mode=config.mode,
         replicates=m,
         master_seed=config.master_seed,

@@ -46,7 +46,6 @@ __all__ = [
     "QuadratureError",
     "UniformGain",
     "generate_cost_matrix",
-    "model_spec_string",
     "parse_model_spec",
     "sample_cost",
 ]
@@ -543,6 +542,8 @@ def parse_model_spec(text: str) -> GainModel:
     """Build a gain model from a spec string.
 
     Grammar (case-insensitive): ``constant:<c> | exp | pareto:<alpha> | uniform``.
+    A built-in law's ``spec`` parses back to an equal model; ``density`` and
+    the specs of laws defined elsewhere do not parse.
     """
     spec = str(text).strip().lower()
     if spec == "exp":
@@ -568,12 +569,3 @@ def parse_model_spec(text: str) -> GainModel:
         f"unrecognized model spec {text!r}; expected {MODEL_SPEC_GRAMMAR}"
     )
 
-
-def model_spec_string(model: GainModel) -> str:
-    """The model's ``spec``, its name in reports.
-
-    For the built-in laws of :data:`MODEL_SPEC_GRAMMAR` it round-trips
-    through :func:`parse_model_spec`; ``density`` and the specs of models
-    defined elsewhere do not parse.
-    """
-    return model.spec

@@ -4,14 +4,11 @@ A cost matrix is any square array of finite reals; an assignment maps each
 row to a distinct column.  The production solver is scipy's
 ``linear_sum_assignment``, an O(n^3) shortest-augmenting-path method (Crouse,
 "On implementing 2D rectangular assignment algorithms", IEEE TAES 2016); the
-value it reports is re-summed in row order from the permutation.  A
-factorial-time enumerator is kept alongside as an independent oracle for
-small instances.
+value it reports is re-summed in row order from the permutation.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -19,15 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "MAX_BRUTE_FORCE_SIZE",
     "Assignment",
     "as_cost_matrix",
     "assignment_value",
-    "brute_force_max_assignment",
     "solve_max_assignment",
 ]
-
-MAX_BRUTE_FORCE_SIZE = 10
 
 
 @dataclass(frozen=True)
@@ -97,32 +90,3 @@ def solve_max_assignment(matrix) -> Assignment:
     _, column_of_row = linear_sum_assignment(m, maximize=True)
     permutation = tuple(int(j) for j in column_of_row)
     return Assignment(permutation=permutation, value=_row_order_value(m, permutation))
-
-
-def brute_force_max_assignment(matrix) -> Assignment:
-    """Maximize by enumerating all n! permutations (n <= 10 only).
-
-    Ties are broken toward the lexicographically smallest permutation,
-    which makes the result deterministic even on crafted inputs.
-    """
-    m = as_cost_matrix(matrix)
-    n = m.shape[0]
-    if n > MAX_BRUTE_FORCE_SIZE:
-        raise ValueError(
-            f"brute force is limited to n <= {MAX_BRUTE_FORCE_SIZE}, got n = {n}"
-        )
-    rows = m.tolist()
-    best_perm: tuple[int, ...] | None = None
-    best_value = -math.inf
-    # itertools.permutations yields in lexicographic order, so keeping only
-    # strict improvements realizes the tie-break.
-    for perm in itertools.permutations(range(n)):
-        total = 0.0
-        for i, j in enumerate(perm):
-            total += rows[i][j]
-        if total > best_value:
-            best_value = total
-            best_perm = perm
-    assert best_perm is not None
-    return Assignment(permutation=best_perm, value=best_value)
-

@@ -21,7 +21,6 @@ from logassign import (
     ExponentialGain,
     ParetoGain,
     UniformGain,
-    brute_force_max_assignment,
     assignment_value,
     run_experiment,
     sample_cost,
@@ -31,6 +30,7 @@ from logassign import (
     tail_quantile,
 )
 from logassign.cli import main
+from oracles import brute_force_max_assignment
 
 
 def _verdict(name: str, ok: bool, detail: str) -> None:

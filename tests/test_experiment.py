@@ -7,6 +7,7 @@ import math
 import gc
 import os
 import pickle
+import threading
 import weakref
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -134,13 +135,34 @@ class NoFourGain(ExponentialGain):
 
 
 @dataclass(frozen=True)
-class WatchedFrozenGain(ParetoGain):
-    """Pareto gains that record, per draw, the frozen matrices then held and the draw."""
+class NoFiveNegativeThreeGain(ExponentialGain):
+    """Exponential gains that cannot be drawn as 5 x 5 and come out negative as 3 x 3."""
+
+    def sample(self, rng, size=None):
+        if size == (5, 5):
+            raise RuntimeError("no 5 x 5 draw")
+        gains = super().sample(rng, size)
+        return -gains if size == (3, 3) else gains
+
+
+class _WatchedDraws:
+    """Records, per gain draw, how many earlier draws are still alive, and the draw."""
 
     def sample(self, rng, size=None):
         gains = super().sample(rng, size)
-        _DRAWS.append((len(experiment._frozen), weakref.ref(gains)))
+        alive = sum(draw() is not None for _, draw in _DRAWS)
+        _DRAWS.append((alive, weakref.ref(gains)))
         return gains
+
+
+@dataclass(frozen=True)
+class WatchedFrozenGain(_WatchedDraws, ParetoGain):
+    """Pareto gains whose draws are watched."""
+
+
+@dataclass(frozen=True)
+class WatchedNoFourGain(_WatchedDraws, NoFourGain):
+    """Gains that cannot be drawn as 4 x 4, whose draws are watched."""
 
 
 _DRAWS: list = []
@@ -273,15 +295,27 @@ def test_pool_queues_one_chunk_per_worker_and_size_largest_first(monkeypatch) ->
     class RecordingPool(ProcessPoolExecutor):
         def map(self, fn, tasks, chunksize=1):
             tasks = list(tasks)
-            maps.append(([task[1:3] for task in tasks], chunksize))
+            maps.append((tasks, chunksize))
             return super().map(fn, tasks, chunksize=chunksize)
 
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
-    settings = dict(sizes=(3, 4, 6), replicates=7)
-    parallel = run_experiment(_config(**settings, parallelism=2))
-    # ceil(7 / 2) = 4 replicates per chunk, so each size makes two chunks.
-    assert maps == [([(n, rep) for rep in range(7)], 4) for n in (6, 4, 3)]
-    assert parallel == run_experiment(_config(**settings, parallelism=1))
+    for mode in ("annealed", "quenched"):
+        maps.clear()
+        settings = dict(sizes=(3, 4, 6), replicates=7, mode=mode)
+        parallel = run_experiment(_config(**settings, parallelism=2))
+        # ceil(7 / 2) = 4 replicates per chunk, so each size makes two chunks.
+        assert [([task[1:3] for task in tasks], chunk) for tasks, chunk in maps] == [
+            ([(n, rep) for rep in range(7)], 4) for n in (6, 4, 3)]
+        for tasks, _ in maps:
+            gains = tasks[0][4]
+            if mode == "annealed":
+                assert gains is None
+            else:
+                assert gains.shape == (tasks[0][1],) * 2 and not gains.flags.writeable
+            # One object per size, so the executor's pickle memo sends it
+            # once per chunk.
+            assert all(task[4] is gains for task in tasks)
+        assert parallel == run_experiment(_config(**settings, parallelism=1))
 
 
 def test_first_failure_in_serial_order_wins_over_larger_sizes_queued_first() -> None:
@@ -328,19 +362,65 @@ def test_a_failing_frozen_draw_fails_replicate_zero_of_its_size() -> None:
     assert "no 4 x 4 draw" in errors[0][2]
 
 
+def test_draw_failures_are_raised_in_serial_order_under_a_pool_too() -> None:
+    # The 5 x 5 draw raises and the 3 x 3 one is negative, which fails
+    # replicate 0 at n = 3.  Under a pool the 5 x 5 draw comes first, yet
+    # both runs name (3, 0).
+    settings = dict(model=NoFiveNegativeThreeGain(), sizes=(3, 4, 5), mode="quenched")
+    errors = []
+    for parallelism in (1, 2):
+        with pytest.raises(ReplicateError) as info:
+            run_experiment(_config(**settings, parallelism=parallelism))
+        errors.append((info.value.n, info.value.replicate, str(info.value)))
+    assert errors[0] == errors[1]
+    assert errors[0][:2] == (3, 0)
+    assert "positive finite" in errors[0][2]
+
+
 def test_in_process_quenched_run_holds_one_frozen_matrix_at_a_time() -> None:
     _DRAWS.clear()
     run_experiment(_config(model=WatchedFrozenGain(alpha=3.0), sizes=(3, 4, 6),
                            mode="quenched"))
-    # Each draw comes after the previous size's matrix was let go, and
-    # none outlives the run.
-    assert [held for held, _ in _DRAWS] == [0, 0, 0]
+    # No earlier draw is alive at a new one, and none outlives the run.
+    assert [alive for alive, _ in _DRAWS] == [0, 0, 0]
     gc.collect()
     assert [draw() for _, draw in _DRAWS] == [None, None, None]
-    assert experiment._frozen == {}
+    _DRAWS.clear()
     with pytest.raises(ReplicateError):
-        run_experiment(_config(model=NoFourGain(), sizes=(3, 4, 6), mode="quenched"))
-    assert experiment._frozen == {}
+        run_experiment(_config(model=WatchedNoFourGain(), sizes=(3, 4, 6), mode="quenched"))
+    # Only the 3 x 3 draw succeeded, and a failed run lets it go too.
+    gc.collect()
+    assert [(alive, draw()) for alive, draw in _DRAWS] == [(0, None)]
+
+
+def test_overlapping_quenched_runs_in_threads_keep_their_own_frozen_gains(
+        monkeypatch) -> None:
+    settings = dict(model=ParetoGain(2.5), sizes=(3, 4), replicates=3, mode="quenched")
+    solo = {seed: report_csv_text(run_experiment(_config(**settings, master_seed=seed)))
+            for seed in (1, 2)}
+    # Every solve waits for the other thread's, so the two runs go in
+    # lockstep, each size's draws overlapping.  The timeout fails a run
+    # whose partner died rather than hang.
+    barrier = threading.Barrier(2, timeout=10)
+    solve = experiment.solve_max_assignment
+
+    def lockstep_solve(matrix):
+        barrier.wait()
+        return solve(matrix)
+
+    monkeypatch.setattr(experiment, "solve_max_assignment", lockstep_solve)
+    reports = {}
+
+    def run(seed):
+        reports[seed] = report_csv_text(run_experiment(_config(**settings, master_seed=seed)))
+
+    threads = [threading.Thread(target=run, args=(seed,)) for seed in (1, 2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    assert reports == solo
 
 
 def test_quenched_constant_gain_equals_annealed() -> None:

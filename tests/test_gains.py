@@ -22,7 +22,6 @@ from logassign import (
     QuadratureError,
     UniformGain,
     generate_cost_matrix,
-    model_spec_string,
     parse_model_spec,
     sample_cost,
 )
@@ -68,7 +67,7 @@ def test_rejection_message_names_the_grammar() -> None:
 
 def test_spec_strings_round_trip() -> None:
     for model in (*BUILTINS, ConstantGain(0.25), ParetoGain(1.75)):
-        assert parse_model_spec(model_spec_string(model)) == model
+        assert parse_model_spec(model.spec) == model
 
 
 def test_parameter_validation() -> None:
@@ -214,7 +213,7 @@ def _reference_log_laplace(model, rho: float):
         return float(mp.log(a) - a * mp.log(rho) + mp.log(mp.gammainc(a, 0, rho)))
 
 
-@pytest.mark.parametrize("model", _ORACLE_LAWS, ids=model_spec_string)
+@pytest.mark.parametrize("model", _ORACLE_LAWS, ids=lambda model: model.spec)
 def test_closed_form_transforms_match_a_40_digit_oracle(model) -> None:
     for rho in _edge_rhos(model):
         rho = float(rho)
@@ -229,7 +228,7 @@ def test_closed_form_transforms_match_a_40_digit_oracle(model) -> None:
         assert abs(value - reference) <= 1e-13 * max(1.0, abs(reference)), rho
 
 
-@pytest.mark.parametrize("model", (ExponentialGain(), UniformGain()), ids=model_spec_string)
+@pytest.mark.parametrize("model", (ExponentialGain(), UniformGain()), ids=lambda model: model.spec)
 def test_exponential_and_uniform_transforms_run_no_quadrature(model, monkeypatch) -> None:
     def refuse(*args, **kwargs):
         raise AssertionError("quadrature called")
@@ -241,7 +240,7 @@ def test_exponential_and_uniform_transforms_run_no_quadrature(model, monkeypatch
 
 
 @pytest.mark.parametrize(
-    "model", (*BUILTINS, ParetoGain(1.05), ParetoGain(7.5)), ids=model_spec_string
+    "model", (*BUILTINS, ParetoGain(1.05), ParetoGain(7.5)), ids=lambda model: model.spec
 )
 def test_transform_is_nonpositive_and_nonincreasing_at_every_scale(model) -> None:
     values = [model.log_laplace(float(rho)) for rho in np.geomspace(1e-300, 1e300, 121)]

@@ -6,8 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import sparse
-from scipy.optimize import linear_sum_assignment, linprog
+from scipy.optimize import linear_sum_assignment
 
 from logassign import (
     Assignment,
@@ -16,14 +15,13 @@ from logassign import (
     ParetoGain,
     UniformGain,
     assignment_value,
-    brute_force_max_assignment,
     generate_cost_matrix,
-    model_spec_string,
     replicate_stream,
     solve_max_assignment,
 )
 from logassign import matching
 from logassign.matching import as_cost_matrix
+from oracles import brute_force_max_assignment, lp_duals
 
 # Hand-enumerated: all six permutations of this matrix score
 # 9, 2, 5, 5, 0, 7, so the identity wins uniquely.
@@ -208,34 +206,11 @@ def test_brute_force_rejects_large_instances() -> None:
         brute_force_max_assignment(np.zeros((11, 11)))
 
 
-def _lp_duals(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Optimal duals (u, v) of the assignment LP, solved by HiGHS.
-
-    The dual of the max-assignment LP is: minimize sum u + sum v subject to
-    u_i + v_j >= c_ij.  HiGHS shares no code with linear_sum_assignment.
-    """
-    n = costs.shape[0]
-    cells = np.arange(n * n)
-    rows, columns = np.divmod(cells, n)
-    # Row i*n + j of the constraints reads -(u_i + v_j) <= -c_ij.
-    constraints = sparse.csr_matrix(
-        (np.full(2 * n * n, -1.0), (np.tile(cells, 2), np.concatenate([rows, n + columns]))),
-        shape=(n * n, 2 * n),
-    )
-    result = linprog(
-        np.ones(2 * n), A_ub=constraints, b_ub=-costs.ravel(), bounds=(None, None),
-        method="highs",
-        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
-    )
-    assert result.status == 0, result.message
-    return result.x[:n], result.x[n:]
-
-
 def _assert_certified_optimal(costs: np.ndarray) -> None:
     # By weak duality every assignment scores at most sum u + sum v for a
     # feasible (u, v), so duals that are feasible and match the solver's
     # value certify that value as the optimum.
-    u, v = _lp_duals(costs)
+    u, v = lp_duals(costs)
     value = solve_max_assignment(costs).value
     assert (costs - u[:, None] - v[None, :]).max() <= 1e-12 * np.abs(costs).max()
     assert abs(u.sum() + v.sum() - value) <= 1e-12 * abs(value)
@@ -246,7 +221,7 @@ _LP_LAWS = (ConstantGain(1.0), ExponentialGain(), ParetoGain(3.0), UniformGain()
 
 
 @pytest.mark.parametrize("n", [20, 100])
-@pytest.mark.parametrize("model", _LP_LAWS, ids=model_spec_string)
+@pytest.mark.parametrize("model", _LP_LAWS, ids=lambda model: model.spec)
 def test_lp_duals_certify_the_solver_on_every_law(model, n) -> None:
     _assert_certified_optimal(generate_cost_matrix(model, n, replicate_stream(2, n, 0)))
 
