@@ -1,12 +1,23 @@
 """Command-line front end: predictions, simulations, and diagnostics.
 
-Exit codes: 0 success, 2 bad arguments, 3 numeric non-convergence,
-4 simulation failure, 5 failed tail check.
+Each command body calls the library directly, and the tables of
+``predict``, ``simulate`` and ``tail-check`` are written by
+:func:`~logassign.experiment.table_text`.  :class:`LibraryCommand`, the
+class of every command, holds the one map from library exceptions to exit
+codes:
+
+- ``ValueError``: bad arguments or input files, a usage error (exit 2);
+- ``BracketError``, ``QuadratureError``: numeric non-convergence (exit 3);
+- ``ReplicateError``, ``BrokenProcessPool``: simulation failure (exit 4).
+
+A failed tail check exits 5 and success 0.  Any other exception is a bug
+and propagates as a traceback.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -20,14 +31,13 @@ from .experiment import (
     ExperimentConfig,
     ReplicateError,
     _PURPOSE_TAIL_CHECK,
-    _json_text,
-    _real,
     compare_report,
     parse_report_csv,
     replicate_stream,
     report_csv_text,
     report_json_text,
     run_experiment,
+    table_text,
 )
 from .gains import QuadratureError, parse_model_spec, sample_cost, MODEL_SPEC_GRAMMAR
 from .matching import solve_max_assignment
@@ -51,13 +61,6 @@ _MAX_SAMPLES = 10**8
 def _fail(code: int, message: str):
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
-
-
-def _model(spec: str):
-    try:
-        return parse_model_spec(spec)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
 
 
 def parse_sizes(text: str) -> tuple[int, ...]:
@@ -87,25 +90,31 @@ def main():
     """
 
 
+class LibraryCommand(click.Command):
+    """A command whose library exceptions end in the exit codes of the module map."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            raise click.UsageError(str(exc), ctx) from None
+        except (BracketError, QuadratureError) as exc:
+            _fail(EXIT_NUMERIC, str(exc))
+        except (ReplicateError, BrokenProcessPool) as exc:
+            _fail(EXIT_SIMULATION, str(exc))
+
+
+main.command_class = LibraryCommand
+
+
 @main.command(help=f"Tabulate predictions for each size.\n\n{_MODEL_HELP}\n\n{_SIZES_HELP}")
 @click.argument("model_spec", metavar="MODEL")
 @click.argument("sizes_text", metavar="SIZES")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True, help="Output format.")
 def predict(model_spec: str, sizes_text: str, fmt: str):
-    model = _model(model_spec)
-    try:
-        table = prediction_table(model, parse_sizes(sizes_text))
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
-    except (BracketError, QuadratureError) as exc:
-        _fail(EXIT_NUMERIC, str(exc))
-    if fmt == "json":
-        click.echo(_json_text([row._asdict() for row in table]), nl=False)
-        return
-    click.echo(",".join(Prediction._fields))
-    for n, *reals in table:
-        click.echo(",".join([str(n), *map(_real, reals)]))
+    table = prediction_table(parse_model_spec(model_spec), parse_sizes(sizes_text))
+    click.echo(table_text(Prediction._fields, table, fmt), nl=False)
 
 
 @main.command(help=f"Run the Monte Carlo experiment.\n\n{_MODEL_HELP}\n\n{_SIZES_HELP}")
@@ -125,39 +134,32 @@ def predict(model_spec: str, sizes_text: str, fmt: str):
 @click.option("--output", "-o", default="-", show_default=True,
               help="Destination file, or - for stdout.")
 def simulate(model_spec, sizes_text, replicates, mode, seed, jobs, fmt, output):
-    model = _model(model_spec)
-    sizes = parse_sizes(sizes_text)
-    try:
-        config = ExperimentConfig(
-            model=model,
-            sizes=sizes,
-            replicates=replicates,
-            mode=mode,
-            master_seed=seed,
-            parallelism=jobs,
-        )
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
-    try:
-        report = run_experiment(config)
-    except (ReplicateError, BrokenProcessPool) as exc:
-        _fail(EXIT_SIMULATION, str(exc))
-    except (BracketError, QuadratureError) as exc:
-        _fail(EXIT_NUMERIC, str(exc))
+    config = ExperimentConfig(
+        model=parse_model_spec(model_spec),
+        sizes=parse_sizes(sizes_text),
+        replicates=replicates,
+        mode=mode,
+        master_seed=seed,
+        parallelism=jobs,
+    )
+    # The file is written only once the report is whole, so a failed run
+    # leaves it as it was; a destination that cannot be written fails first.
+    target = Path(output)
+    if output != "-" and (target.is_dir() or not os.access(target.parent, os.W_OK)):
+        cause = "it is a directory" if target.is_dir() else "its directory is missing or not writable"
+        raise ValueError(f"cannot write {output!r}: {cause}")
+    report = run_experiment(config)
     text = report_csv_text(report) if fmt == "csv" else report_json_text(report)
     if output == "-":
         click.echo(text, nl=False)
     else:
-        Path(output).write_text(text)
+        target.write_text(text)
 
 
 @main.command(help="Summarize the errors in a saved simulation report (CSV).")
 @click.argument("report_path", type=click.Path(exists=True, dir_okay=False))
 def compare(report_path: str):
-    try:
-        report = parse_report_csv(Path(report_path).read_text())
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
+    report = parse_report_csv(Path(report_path).read_text())
     click.echo(compare_report(report), nl=False)
 
 
@@ -171,7 +173,7 @@ def compare(report_path: str):
                    "of memory.")
 @click.option("--seed", default=0, show_default=True, help="Master seed.")
 def tail_check(model_spec, thresholds, samples, seed):
-    model = _model(model_spec)
+    model = parse_model_spec(model_spec)
     try:
         grid = tuple(float(part) for part in thresholds.split(","))
     except ValueError:
@@ -182,16 +184,10 @@ def tail_check(model_spec, thresholds, samples, seed):
     if not 0 <= seed < 2**64:
         raise click.UsageError("seed must fit in an unsigned 64-bit integer")
     # Every threshold is checked, and its probability computed, before the draw.
-    try:
-        curve = [tail_probability(model, r) for r in grid]
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
-    except (BracketError, QuadratureError) as exc:
-        _fail(EXIT_NUMERIC, str(exc))
+    curve = [tail_probability(model, r) for r in grid]
     rng = replicate_stream(seed, 0, 0, purpose=_PURPOSE_TAIL_CHECK)
     costs = sample_cost(model, rng, size=samples)
-    click.echo("r,empirical,theoretical,z_score")
-    failed = False
+    rows = []
     for r, theoretical in zip(grid, curve):
         empirical = float(np.mean(costs >= r))
         spread = math.sqrt(theoretical * (1.0 - theoretical) / samples)
@@ -199,10 +195,9 @@ def tail_check(model_spec, thresholds, samples, seed):
             z = 0.0 if empirical == theoretical else math.inf
         else:
             z = (empirical - theoretical) / spread
-        if abs(z) > 4.0:
-            failed = True
-        click.echo(f"{_real(r)},{_real(empirical)},{_real(theoretical)},{_real(z)}")
-    if failed:
+        rows.append((r, empirical, theoretical, z))
+    click.echo(table_text(("r", "empirical", "theoretical", "z_score"), rows, "csv"), nl=False)
+    if any(abs(z) > 4.0 for *_, z in rows):
         _fail(EXIT_TAIL_CHECK, "an empirical tail frequency sits more than 4 sigma out")
 
 
@@ -217,11 +212,8 @@ def solve(matrix_path: str):
             rows.append([float(cell) for cell in line.split(",")])
         except ValueError:
             raise click.UsageError(f"unparseable matrix line {line!r}") from None
-    try:
-        result = solve_max_assignment(rows)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
-    click.echo(f"value {_real(result.value)}")
+    result = solve_max_assignment(rows)
+    click.echo(f"value {float(result.value):.17g}")
     click.echo("permutation " + " ".join(str(j) for j in result.permutation))
 
 

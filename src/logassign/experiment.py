@@ -10,12 +10,13 @@ coincide exactly with its annealed twin.  The parent draws each frozen
 matrix once, read-only, and every replicate task of that size carries it.
 The module holds no state, so runs may overlap in threads.
 
-A run with ``parallelism > 1`` opens one process pool for all its sizes,
-with no more workers than it has chunks.  Each size's replicates go out in
-one chunk per worker, largest size first, so the chunks left at the end
-are the cheapest.  The executor pickles a chunk in one call, so each chunk
-carries its size's frozen matrix once, and the parent computes the
-predictions while the workers solve.
+A run opens one process pool for all its sizes when ``parallelism`` and
+the CPU count both exceed 1, with no more workers than either, nor than it
+has chunks.  Each size's replicates go out in one chunk per worker,
+largest size first, so the chunks left at the end are the cheapest.  The
+executor pickles a chunk in one call, so each chunk carries its size's
+frozen matrix once, and the parent computes the predictions while the
+workers solve.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import io
 import itertools
 import json
 import math
+import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass
@@ -50,6 +52,7 @@ __all__ = [
     "report_csv_text",
     "report_json_text",
     "run_experiment",
+    "table_text",
 ]
 
 ANNEALED = "annealed"
@@ -218,13 +221,13 @@ def _compensated_sum(values) -> float:
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Simulate every configured size and attach both predictions.
 
-    All replicates of all sizes go to one process pool (none when
-    ``parallelism == 1``) of at most as many workers as there are chunks.
-    Each size is split into at most ``parallelism`` chunks of
-    ``ceil(replicates / parallelism)`` replicates, queued largest size
-    first.  The parent draws each frozen gain matrix of a quenched run as
-    it builds that size's tasks, which carry it; in process it holds one
-    at a time.  The predictions are one
+    Let ``jobs = min(parallelism, os.cpu_count())``.  All replicates of all
+    sizes go to one process pool (none when ``jobs == 1``) of at most as
+    many workers as there are chunks.  Each size is split into at most
+    ``jobs`` chunks of ``ceil(replicates / jobs)`` replicates, queued
+    largest size first.  The parent draws each frozen gain matrix of a
+    quenched run as it builds that size's tasks, which carry it; in
+    process it holds one at a time.  The predictions are one
     :func:`~logassign.quantile.prediction_table`, computed while the
     workers solve.  Replicate optima are read back and aggregated in
     replicate order with compensated summation, so reports do not vary
@@ -235,20 +238,22 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     process that dies raises ``BrokenProcessPool``.
     """
     m, model, sizes = config.replicates, config.model, config.sizes
+    # More workers than CPUs only contend, and the pool forks them all at once.
+    jobs = min(config.parallelism, os.cpu_count() or 1)
     pool = None
     try:
-        if config.parallelism == 1:
+        if jobs == 1:
             results = itertools.chain.from_iterable(
                 map(_replicate_value, _size_tasks(config, n)) for n in sizes)
         else:
             # One chunk per worker and size, and no worker without a chunk.
-            chunk = math.ceil(m / config.parallelism)
+            chunk = math.ceil(m / jobs)
             chunks = len(sizes) * math.ceil(m / chunk)
             # solve_max_assignment imports scipy.optimize on first use.  Import
             # it before the pool forks its workers, so they inherit it rather
             # than each paying the import, in time and in private memory.
             import scipy.optimize  # noqa: F401
-            pool = ProcessPoolExecutor(max_workers=min(config.parallelism, chunks))
+            pool = ProcessPoolExecutor(max_workers=min(jobs, chunks))
             # map submits at once, so the whole queue stands, largest size
             # first and cheapest chunks last, before the parent predicts.
             # Largest first also lets smaller frozen draws reuse the heap that
@@ -299,14 +304,26 @@ def _real(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _json_text(records: list[dict]) -> str:
-    """Strict JSON: NaN, which JSON cannot carry, is written as null."""
-    records = [
-        {key: None if isinstance(value, float) and math.isnan(value) else value
-         for key, value in record.items()}
-        for record in records
-    ]
-    return json.dumps(records, indent=2, allow_nan=False) + "\n"
+def table_text(columns, records, fmt: str) -> str:
+    """Render records, each a tuple in ``columns`` order, as CSV or JSON.
+
+    CSV has a header line, then one line per record; reals carry 17 digits,
+    so they read back exactly.  JSON is a list of objects, one per record,
+    and strict: NaN, which JSON cannot carry, is written as null.
+    """
+    if fmt == "json":
+        objects = [{key: None if isinstance(value, float) and math.isnan(value) else value
+                    for key, value in zip(columns, record)}
+                   for record in records]
+        return json.dumps(objects, indent=2, allow_nan=False) + "\n"
+    if fmt != "csv":
+        raise ValueError(f"unknown table format {fmt!r}; expected 'csv' or 'json'")
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_real(x) if isinstance(x, float) else x for x in record]
+                     for record in records)
+    return out.getvalue()
 
 
 def _report_records(report: ExperimentReport):
@@ -318,26 +335,28 @@ def _report_records(report: ExperimentReport):
 
 def report_csv_text(report: ExperimentReport) -> str:
     """Render a report as CSV, one line per size; reals carry 17 digits."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(REPORT_COLUMNS)
-    for record in _report_records(report):
-        writer.writerow([_real(x) if isinstance(x, float) else str(x) for x in record])
-    return out.getvalue()
+    return table_text(REPORT_COLUMNS, _report_records(report), "csv")
 
 
 def parse_report_csv(text: str) -> ExperimentReport:
-    """Rebuild a report from its CSV rendering; exact for 17-digit reals."""
-    reader = csv.reader(io.StringIO(text))
+    """Rebuild a report from its CSV rendering; exact for 17-digit reals.
+
+    Raises:
+        ValueError: for text that is not such a rendering, including text
+            the CSV reader itself cannot read.
+    """
     try:
-        header = tuple(next(reader))
-    except StopIteration:
-        raise ValueError("empty report") from None
+        records = list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:
+        raise ValueError(f"unreadable report: {exc}") from None
+    if not records:
+        raise ValueError("empty report")
+    header = tuple(records[0])
     if header != REPORT_COLUMNS:
         raise ValueError(f"unexpected report header {header!r}")
     meta: tuple[str, str, int, int] | None = None
     rows = []
-    for record in reader:
+    for record in records[1:]:
         if not record:
             continue
         if len(record) != len(REPORT_COLUMNS):
@@ -356,8 +375,7 @@ def parse_report_csv(text: str) -> ExperimentReport:
 
 def report_json_text(report: ExperimentReport) -> str:
     """JSON rendering mirroring the CSV fields one for one; NaN is null."""
-    return _json_text([dict(zip(REPORT_COLUMNS, record))
-                       for record in _report_records(report)])
+    return table_text(REPORT_COLUMNS, _report_records(report), "json")
 
 
 def compare_report(report: ExperimentReport) -> str:

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -16,7 +17,14 @@ import pytest
 from click.testing import CliRunner
 
 import logassign
-from logassign import ExponentialGain, cli, parse_report_csv
+from logassign import (
+    BracketError,
+    ExponentialGain,
+    QuadratureError,
+    ReplicateError,
+    cli,
+    parse_report_csv,
+)
 from logassign.cli import main, parse_sizes
 
 
@@ -262,6 +270,7 @@ class DyingGain(ExponentialGain):
 
 
 def test_simulate_reports_a_dead_worker_without_a_traceback(monkeypatch) -> None:
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     monkeypatch.setattr(cli, "parse_model_spec", lambda spec: DyingGain())
     result = _run("simulate", "exp", "--sizes", "3,4", "--replicates", "4", "--jobs", "2")
     assert result.exit_code == cli.EXIT_SIMULATION
@@ -278,6 +287,37 @@ def test_simulate_json_and_file_output(tmp_path) -> None:
     payload = json.loads(out.read_text())
     assert payload[0]["model"] == "uniform"
     assert payload[0]["m"] == 5
+
+
+@pytest.mark.parametrize("destination", ["missing/x.csv", "."])
+def test_simulate_rejects_an_unwritable_output_before_simulating(
+    monkeypatch, tmp_path, destination: str
+) -> None:
+    def refuse(config):
+        raise AssertionError("simulated")
+
+    monkeypatch.setattr(cli, "run_experiment", refuse)
+    target = tmp_path / destination
+    result = _run("simulate", "exp", "--sizes", "3,4", "--replicates", "2", "-o", str(target))
+    assert result.exit_code == 2
+    assert str(target) in result.output
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "missing").exists()
+
+
+def test_a_failed_simulation_leaves_an_existing_output_file_unchanged(
+    monkeypatch, tmp_path
+) -> None:
+    def fail(config):
+        raise ReplicateError(3, 1, "boom")
+
+    monkeypatch.setattr(cli, "run_experiment", fail)
+    target = tmp_path / "report.csv"
+    target.write_bytes(b"earlier bytes\n")
+    result = _run("simulate", "exp", "--sizes", "3,4", "--replicates", "2", "-o", str(target))
+    assert result.exit_code == cli.EXIT_SIMULATION
+    assert "replicate 1 at n = 3 failed: boom" in result.output
+    assert target.read_bytes() == b"earlier bytes\n"
 
 
 def test_simulate_rejects_bad_replicates() -> None:
@@ -329,6 +369,15 @@ def test_compare_rejects_mangled_report(tmp_path) -> None:
     path = tmp_path / "report.csv"
     path.write_text("not,a,report\n")
     assert _run("compare", str(path)).exit_code == 2
+
+
+def test_compare_rejects_a_report_the_csv_reader_cannot_read(tmp_path) -> None:
+    path = tmp_path / "report.csv"
+    path.write_text("x" * 200_000 + "\n")
+    result = _run("compare", str(path))
+    assert result.exit_code == 2
+    assert "field larger than field limit" in result.output
+    assert "Traceback" not in result.output
 
 
 def test_tail_check_passes_for_matching_model() -> None:
@@ -452,3 +501,42 @@ def test_help_shows_model_grammar() -> None:
     result = _run("simulate", "--help")
     assert result.exit_code == 0
     assert "constant:<c> | exp | pareto:<alpha> | uniform" in result.output
+
+
+_PREDICT = ("predict", "exp", "10")
+_SIMULATE = ("simulate", "exp", "--sizes", "3", "--replicates", "2")
+
+
+@pytest.mark.parametrize("args, name, error, code", [
+    (_PREDICT, "prediction_table", BracketError("no bracket here"), 3),
+    (_PREDICT, "prediction_table", QuadratureError("no quadrature here", 1.0), 3),
+    (_SIMULATE, "run_experiment", ReplicateError(3, 1, "no replicate here"), 4),
+    (_SIMULATE, "run_experiment", BrokenProcessPool("no pool here"), 4),
+    (("tail-check", "exp", "--samples", "10000"), "tail_probability",
+     QuadratureError("no quadrature here", 1.0), 3),
+    (("solve", "{file}"), "solve_max_assignment", ValueError("no matrix here"), 2),
+    (("compare", "{file}"), "parse_report_csv", ValueError("no report here"), 2),
+], ids=["bracket", "quadrature", "replicate", "pool", "tail", "solve", "compare"])
+def test_library_exceptions_map_to_exit_codes(
+    monkeypatch, tmp_path, args, name, error, code
+) -> None:
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, name, fail)
+    path = tmp_path / "input.csv"
+    path.write_text("1\n")
+    result = _run(*(arg.format(file=path) for arg in args))
+    assert result.exit_code == code
+    assert str(error) in result.output
+    assert "Traceback" not in result.output
+
+
+def test_an_unmapped_exception_propagates(monkeypatch) -> None:
+    def fail(*args, **kwargs):
+        raise ZeroDivisionError("a bug")
+
+    monkeypatch.setattr(cli, "prediction_table", fail)
+    result = _run(*_PREDICT)
+    assert isinstance(result.exception, ZeroDivisionError)
+    assert result.exit_code == 1

@@ -32,6 +32,7 @@ from logassign import (
     report_csv_text,
     report_json_text,
     run_experiment,
+    table_text,
 )
 from logassign import experiment
 from logassign.experiment import _compensated_sum
@@ -206,7 +207,13 @@ def _flat_density(y: float) -> float:
 
 
 @pytest.fixture
-def pool_starts(monkeypatch) -> list:
+def many_cpus(monkeypatch) -> None:
+    """Report 64 CPUs, so that parallelism alone sizes the pool on any machine."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+
+
+@pytest.fixture
+def pool_starts(monkeypatch, many_cpus) -> list:
     """Record every process pool that the experiment module constructs."""
     started = []
 
@@ -289,7 +296,26 @@ def test_pool_starts_no_worker_without_a_chunk(pool_starts) -> None:
     assert pool_starts == [2, 3]
 
 
-def test_pool_queues_one_chunk_per_worker_and_size_largest_first(monkeypatch) -> None:
+def test_pool_workers_are_capped_by_the_cpu_count(monkeypatch) -> None:
+    # The pool raises as it is built, so no worker process starts whatever
+    # size it is asked for.
+    asked = []
+
+    class RefusingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+            raise RuntimeError("no pool here")
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", RefusingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    with pytest.raises(RuntimeError, match="no pool here"):
+        run_experiment(_config(replicates=64, parallelism=64))
+    assert asked == [2]
+
+
+def test_pool_queues_one_chunk_per_worker_and_size_largest_first(
+    monkeypatch, many_cpus
+) -> None:
     maps = []
 
     class RecordingPool(ProcessPoolExecutor):
@@ -617,6 +643,19 @@ def test_report_csv_parser_rejects_garbage() -> None:
     text = report_csv_text(run_experiment(_config()))
     with pytest.raises(ValueError):
         parse_report_csv(text + "exp,annealed,9,6,41,1,1,1,1,1,1\n")
+    # Past the CSV reader's own limit of 131072 characters a field.
+    with pytest.raises(ValueError, match="field larger than field limit"):
+        parse_report_csv("x" * 200_000 + "\n")
+
+
+def test_table_text_writes_csv_and_strict_json() -> None:
+    records = [(3, "a,b", 0.1, math.nan)]
+    assert table_text(("n", "s", "x", "y"), records, "csv") == (
+        'n,s,x,y\n3,"a,b",0.10000000000000001,nan\n')
+    assert json.loads(table_text(("n", "s", "x", "y"), records, "json")) == [
+        {"n": 3, "s": "a,b", "x": 0.1, "y": None}]
+    with pytest.raises(ValueError, match="tsv"):
+        table_text(("n",), [(3,)], "tsv")
 
 
 def test_report_json_mirrors_csv_fields() -> None:
