@@ -33,6 +33,7 @@ from .experiment import (
     _PURPOSE_TAIL_CHECK,
     compare_report,
     parse_report_csv,
+    real_text,
     replicate_stream,
     report_csv_text,
     report_json_text,
@@ -143,11 +144,15 @@ def simulate(model_spec, sizes_text, replicates, mode, seed, jobs, fmt, output):
         parallelism=jobs,
     )
     # The file is written only once the report is whole, so a failed run
-    # leaves it as it was; a destination that cannot be written fails first.
+    # leaves it as it was.  A destination that cannot be written fails first:
+    # a directory, an existing file that may not be written, or a new file
+    # whose parent is not a writable directory.
     target = Path(output)
-    if output != "-" and (target.is_dir() or not os.access(target.parent, os.W_OK)):
-        cause = "it is a directory" if target.is_dir() else "its directory is missing or not writable"
-        raise ValueError(f"cannot write {output!r}: {cause}")
+    home = target if target.exists() else target.parent
+    if output != "-" and (target.is_dir() or not os.access(home, os.W_OK)
+                          or home == target.parent and not home.is_dir()):
+        raise click.UsageError(f"cannot write {output!r}: it must be a writable file "
+                               "or a new file in a writable directory")
     report = run_experiment(config)
     text = report_csv_text(report) if fmt == "csv" else report_json_text(report)
     if output == "-":
@@ -178,7 +183,6 @@ def tail_check(model_spec, thresholds, samples, seed):
         grid = tuple(float(part) for part in thresholds.split(","))
     except ValueError:
         raise click.UsageError(f"bad thresholds {thresholds!r}") from None
-    samples = int(samples)
     if not 10_000 <= samples <= _MAX_SAMPLES:
         raise click.UsageError(f"--samples must lie between 10000 and {_MAX_SAMPLES}")
     if not 0 <= seed < 2**64:
@@ -213,7 +217,7 @@ def solve(matrix_path: str):
         except ValueError:
             raise click.UsageError(f"unparseable matrix line {line!r}") from None
     result = solve_max_assignment(rows)
-    click.echo(f"value {float(result.value):.17g}")
+    click.echo(f"value {real_text(result.value)}")
     click.echo("permutation " + " ".join(str(j) for j in result.permutation))
 
 

@@ -300,7 +300,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     )
 
 
-def _real(x: float) -> str:
+def real_text(x: float) -> str:
+    """Write a real with 17 significant digits, so that it reads back exactly."""
     return format(float(x), ".17g")
 
 
@@ -321,7 +322,7 @@ def table_text(columns, records, fmt: str) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(columns)
-    writer.writerows([_real(x) if isinstance(x, float) else x for x in record]
+    writer.writerows([real_text(x) if isinstance(x, float) else x for x in record]
                      for record in records)
     return out.getvalue()
 

@@ -270,7 +270,6 @@ class DyingGain(ExponentialGain):
 
 
 def test_simulate_reports_a_dead_worker_without_a_traceback(monkeypatch) -> None:
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     monkeypatch.setattr(cli, "parse_model_spec", lambda spec: DyingGain())
     result = _run("simulate", "exp", "--sizes", "3,4", "--replicates", "4", "--jobs", "2")
     assert result.exit_code == cli.EXIT_SIMULATION
@@ -289,20 +288,41 @@ def test_simulate_json_and_file_output(tmp_path) -> None:
     assert payload[0]["m"] == 5
 
 
-@pytest.mark.parametrize("destination", ["missing/x.csv", "."])
+@pytest.mark.parametrize(
+    "destination, denied",
+    [
+        ("missing/x.csv", None),  # a missing directory
+        (".", None),  # a directory
+        ("earlier.csv/x.csv", None),  # a regular file where the directory should be
+        ("earlier.csv", "earlier.csv"),  # an existing file that may not be written
+        ("x.csv", "."),  # a directory that may not be written
+    ],
+)
 def test_simulate_rejects_an_unwritable_output_before_simulating(
-    monkeypatch, tmp_path, destination: str
+    monkeypatch, tmp_path, destination: str, denied
 ) -> None:
     def refuse(config):
         raise AssertionError("simulated")
 
     monkeypatch.setattr(cli, "run_experiment", refuse)
+    earlier = tmp_path / "earlier.csv"
+    earlier.write_bytes(b"earlier bytes\n")
+    if denied is not None:
+        # Root writes whatever the permission bits say, so the refusal is
+        # patched into os.access rather than set with chmod.
+        refused = tmp_path / denied
+        access = os.access
+        monkeypatch.setattr(
+            os, "access", lambda path, mode: Path(path) != refused and access(path, mode)
+        )
     target = tmp_path / destination
     result = _run("simulate", "exp", "--sizes", "3,4", "--replicates", "2", "-o", str(target))
     assert result.exit_code == 2
     assert str(target) in result.output
     assert "Traceback" not in result.output
     assert not (tmp_path / "missing").exists()
+    assert not (tmp_path / "x.csv").exists()
+    assert earlier.read_bytes() == b"earlier bytes\n"
 
 
 def test_a_failed_simulation_leaves_an_existing_output_file_unchanged(

@@ -207,13 +207,7 @@ def _flat_density(y: float) -> float:
 
 
 @pytest.fixture
-def many_cpus(monkeypatch) -> None:
-    """Report 64 CPUs, so that parallelism alone sizes the pool on any machine."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-
-
-@pytest.fixture
-def pool_starts(monkeypatch, many_cpus) -> list:
+def pool_starts(monkeypatch) -> list:
     """Record every process pool that the experiment module constructs."""
     started = []
 
@@ -307,15 +301,13 @@ def test_pool_workers_are_capped_by_the_cpu_count(monkeypatch) -> None:
             raise RuntimeError("no pool here")
 
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", RefusingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # in place of the 64 of conftest
     with pytest.raises(RuntimeError, match="no pool here"):
         run_experiment(_config(replicates=64, parallelism=64))
     assert asked == [2]
 
 
-def test_pool_queues_one_chunk_per_worker_and_size_largest_first(
-    monkeypatch, many_cpus
-) -> None:
+def test_pool_queues_one_chunk_per_worker_and_size_largest_first(monkeypatch) -> None:
     maps = []
 
     class RecordingPool(ProcessPoolExecutor):
