@@ -8,10 +8,12 @@ its logarithm in closed form through scipy's special functions, within
 1e-13 (relative beyond 1) of a 40-digit reference for every rho that is a
 double.  Short series take over where those functions underflow, lose their
 way or round a tiny value away.  The one exception is Pareto's far tail,
-one quadrature per instance.  A
-user-supplied density is integrated by adaptive quadrature after factoring
-the integrand maximum out of the exponent, which keeps the working range of
-the integrator away from underflow however large rho becomes.
+one quadrature per instance.  Each built-in law writes its branches once,
+as array code, so that the quantile solver evaluates many rho in one call
+and a single rho is a batch of one.  A user-supplied density is integrated
+by adaptive quadrature after factoring the integrand maximum out of the
+exponent, which keeps the working range of the integrator away from
+underflow however large rho becomes.
 
 Of scipy, importing this module loads ``scipy.special`` alone.  The
 functions that integrate import ``scipy.integrate``, and ``DensityGain``'s
@@ -26,6 +28,7 @@ until a closed form replaces that quadrature (ROADMAP item 2).
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -61,6 +64,40 @@ _LOG_ACCURACY = 1e-9
 # before they fail (NaN from about s = 1e10, 0 from about rho = 1e165).
 _SERIES_FROM = 1e4
 _DENSITY_LABEL = "user density transform"
+
+
+def _elementwise(fn):
+    """``fn`` from ``math``, applied to each element of a float array.
+
+    numpy's own log, log1p and expm1 differ from libm in the last bit on
+    some inputs: up to a tenth of them for expm1, fewer than one in a
+    thousand for log.  Going through libm one element at a time keeps the
+    bits of the scalar formulas.
+    """
+    return lambda x: np.array(list(map(fn, x.tolist())), dtype=float)
+
+
+_log = _elementwise(math.log)
+_log1p = _elementwise(math.log1p)
+
+
+def _piecewise(rho: np.ndarray, conditions, formulas) -> np.ndarray:
+    """``np.piecewise`` for disjoint conditions, at a fraction of its set-up cost.
+
+    The last formula takes the elements that meet no condition.  A formula
+    runs only on the elements it takes, and only if it takes any.
+    """
+    counts = [np.count_nonzero(condition) for condition in conditions]
+    if rho.size in counts:
+        return formulas[counts.index(rho.size)](rho)
+    if not any(counts):
+        return formulas[-1](rho)
+    rest = ~functools.reduce(np.logical_or, conditions)
+    out = np.empty_like(rho)
+    for condition, formula in zip((*conditions, rest), formulas):
+        if condition.any():
+            out[condition] = formula(rho[condition])
+    return out
 
 
 class ModelSpecError(ValueError):
@@ -103,8 +140,24 @@ def _checked_log(total: float, estimate: float, label: str) -> float:
 class GainModel:
     """Law of the nonnegative gain coefficient attached to each link.
 
-    A law defines ``sample``, ``_log_laplace`` and ``spec``, the name it
-    carries in reports.  A law with closed forms also defines
+    A law defines ``sample``, ``spec``, the name it carries in reports, and
+    its transform in one of two forms: ``_log_laplace(rho)`` for one float,
+    or ``_log_laplace_batch(rho)`` for a float array of positive finite rho.
+    The base class bridges them.  By default the scalar form is the batch
+    form at one point, and ``_log_laplace_values``, through which the
+    quantile solver evaluates many points at once, calls ``log_laplace`` at
+    each point unless the law gives the batch form and overrides neither
+    ``log_laplace`` nor ``_log_laplace``.  A law that gives neither form
+    raises NotImplementedError.
+
+    The built-in laws give the batch form, over the branches and in the
+    operation order of scalar code.  Their log and log1p go through libm
+    one element at a time, since numpy's own differ from it in the last
+    bit, while numpy's arithmetic and sqrt and scipy's special functions
+    give the same bits on arrays as on floats.  So a point's value does not
+    depend on the batch it is evaluated in.
+
+    A law with closed forms also defines
     ``_log_laplace_asymptotic``, ``_quantile_law`` and ``_growth_law``;
     without them it still simulates and predicts numerically.  A closed
     form that a law lacks, or that is asked for outside its domain, raises
@@ -142,7 +195,23 @@ class GainModel:
         return self._log_laplace_asymptotic(rho)
 
     def _log_laplace(self, rho: float) -> float:
-        raise NotImplementedError
+        # Overflow gives inf and inf - inf gives NaN silently, as for floats.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(self._log_laplace_batch(np.array([rho]))[0])
+
+    def _log_laplace_batch(self, rho: np.ndarray) -> np.ndarray:
+        raise NotImplementedError(f"gain model {type(self).__name__} defines no transform")
+
+    def _log_laplace_values(self, rho: np.ndarray) -> np.ndarray:
+        """:meth:`log_laplace` at each element of a float array of positive finite rho."""
+        cls = type(self)
+        if cls.log_laplace is not GainModel.log_laplace or (
+                cls._log_laplace is not GainModel._log_laplace):
+            return _elementwise(self.log_laplace)(rho)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = self._log_laplace_batch(rho)
+        # min(value, 0.0) of log_laplace, NaN and -0.0 included.
+        return np.where(0.0 < values, 0.0, values)
 
     def _log_laplace_asymptotic(self, rho: float) -> float:
         raise ValueError(
@@ -180,7 +249,7 @@ class ConstantGain(GainModel):
             return self.value
         return np.full(size, self.value, dtype=float)
 
-    def _log_laplace(self, rho: float) -> float:
+    def _log_laplace_batch(self, rho: np.ndarray) -> np.ndarray:
         return -rho / self.value
 
     def _log_laplace_asymptotic(self, rho: float) -> float:
@@ -206,19 +275,29 @@ class ExponentialGain(GainModel):
     def sample(self, rng: np.random.Generator, size=None):
         return rng.exponential(size=size)
 
-    def _log_laplace(self, rho: float) -> float:
-        if rho < 1e-7:
-            # The first two terms of s K_1(s) - 1 (DLMF §10.31), exact to
-            # 1e-15 here.  kve's factor exp(s) would bury them in rounding.
-            log_rho = math.log(rho) + 2.0 * np.euler_gamma
-            return math.log1p(rho * (log_rho - 1.0 + 0.5 * rho * (log_rho - 2.5)))
-        s = 2.0 * math.sqrt(rho)
-        if s < _SERIES_FROM:
-            return math.log(s) + math.log(special.kve(1, s)) - s
+    def _log_laplace_batch(self, rho: np.ndarray) -> np.ndarray:
+        return _piecewise(rho, [rho < 1e-7, 2.0 * np.sqrt(rho) >= _SERIES_FROM],
+                          [self._small, self._hankel, self._bessel])
+
+    @staticmethod
+    def _small(rho: np.ndarray) -> np.ndarray:
+        # The first two terms of s K_1(s) - 1 (DLMF §10.31), exact to 1e-15
+        # here.  kve's factor exp(s) would bury them in rounding.
+        log_rho = _log(rho) + 2.0 * np.euler_gamma
+        return _log1p(rho * (log_rho - 1.0 + 0.5 * rho * (log_rho - 2.5)))
+
+    @staticmethod
+    def _bessel(rho: np.ndarray) -> np.ndarray:
+        s = 2.0 * np.sqrt(rho)
+        return _log(s) + _log(special.kve(1, s)) - s
+
+    @staticmethod
+    def _hankel(rho: np.ndarray) -> np.ndarray:
         # Hankel's expansion of K_1 (DLMF §10.40); its next term is below
         # 1e-13 here.
-        return (math.log(s) + 0.5 * math.log(math.pi / (2.0 * s))
-                + math.log1p(3.0 / (8.0 * s) - 15.0 / (128.0 * s * s)) - s)
+        s = 2.0 * np.sqrt(rho)
+        return (_log(s) + 0.5 * _log(math.pi / (2.0 * s))
+                + _log1p(3.0 / (8.0 * s) - 15.0 / (128.0 * s * s)) - s)
 
     def _log_laplace_asymptotic(self, rho: float) -> float:
         return 0.5 * math.log(math.pi) + 0.25 * math.log(rho) - 2.0 * math.sqrt(rho)
@@ -244,18 +323,26 @@ class UniformGain(GainModel):
     def sample(self, rng: np.random.Generator, size=None):
         return rng.random(size=size)
 
-    def _log_laplace(self, rho: float) -> float:
-        if rho >= _SERIES_FROM:
-            # The asymptotic series of E_2 (DLMF §8.20) in powers of 1/rho;
-            # its next term is below 1e-15 here.
-            w = 1.0 / rho
-            return -rho - math.log(rho) + math.log1p(w * (-2.0 + w * (6.0 - 24.0 * w)))
+    def _log_laplace_batch(self, rho: np.ndarray) -> np.ndarray:
+        series = rho >= _SERIES_FROM
         value = special.expn(2, rho)
-        if value >= sys.float_info.min:
-            return math.log(value)
         # E_2 leaves the normal range near rho = 700.  Only from there on is
         # hyperu accurate enough: near rho = 10 it is off by up to 8e-11.
-        return math.log(rho) - rho + math.log(special.hyperu(2, 2, rho))
+        normal = (value >= sys.float_info.min) & ~series
+        # The E_2 branch takes the values just computed.
+        return _piecewise(rho, [series, normal],
+                          [self._series, lambda _: _log(value[normal]), self._hyperu])
+
+    @staticmethod
+    def _hyperu(rho: np.ndarray) -> np.ndarray:
+        return _log(rho) - rho + _log(special.hyperu(2, 2, rho))
+
+    @staticmethod
+    def _series(rho: np.ndarray) -> np.ndarray:
+        # The asymptotic series of E_2 (DLMF §8.20) in powers of 1/rho; its
+        # next term is below 1e-15 here.
+        w = 1.0 / rho
+        return -rho - _log(rho) + _log1p(w * (-2.0 + w * (6.0 - 24.0 * w)))
 
     def _log_laplace_asymptotic(self, rho: float) -> float:
         return -rho - math.log(rho)
@@ -307,19 +394,26 @@ class ParetoGain(GainModel):
     def sample(self, rng: np.random.Generator, size=None):
         return self.inverse_cdf(rng.random(size=size))
 
-    def _log_laplace(self, rho: float) -> float:
+    def _log_laplace_batch(self, rho: np.ndarray) -> np.ndarray:
+        return _piecewise(rho, [rho < self.alpha, rho >= self.alpha + 700.0],
+                          [self._kummer, self._far_tail, self._incomplete_gamma])
+
+    def _kummer(self, rho: np.ndarray) -> np.ndarray:
+        # M(1, b, rho) = 1 + (rho/b) M(1, b + 1, rho) keeps the digits of tiny
+        # rho.  Not gammainc, which underflows there for large alpha.
+        series = special.hyp1f1(1.0, self.alpha + 1.0, rho)
+        return -rho + _log1p(rho / self.alpha * series)
+
+    # In both branches below, the scale rho**-a of the incomplete gamma
+    # integral factors out of the log exactly.
+    def _incomplete_gamma(self, rho: np.ndarray) -> np.ndarray:
         a = self.alpha - 1.0
-        if rho < self.alpha:
-            # M(1, b, rho) = 1 + (rho/b) M(1, b + 1, rho) keeps the digits of
-            # tiny rho.  Not gammainc, which underflows there for large alpha.
-            series = special.hyp1f1(1.0, self.alpha + 1.0, rho)
-            return -rho + math.log1p(rho / self.alpha * series)
-        # The scale rho**-a of the incomplete gamma integral factors out of
-        # the log exactly.
-        if rho >= self.alpha + 700.0:
-            return math.log(a) - a * math.log(rho) + self._far_tail_log
-        return (math.log(a) - a * math.log(rho) + math.lgamma(a)
-                + math.log(special.gammainc(a, rho)))
+        return (math.log(a) - a * _log(rho) + math.lgamma(a)
+                + _log(special.gammainc(a, rho)))
+
+    def _far_tail(self, rho: np.ndarray) -> np.ndarray:
+        a = self.alpha - 1.0
+        return math.log(a) - a * _log(rho) + self._far_tail_log
 
     @cached_property
     def _far_tail_log(self) -> float:

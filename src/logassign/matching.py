@@ -60,10 +60,16 @@ def _row_order_value(m: np.ndarray, permutation) -> float:
             raise ValueError(f"permutation entry {j!r} is not an integer") from None
     if sorted(pi) != list(range(n)):
         raise ValueError(f"permutation must list each column 0..{n - 1} exactly once")
-    total = 0.0
-    for i, j in enumerate(pi):
-        total += m[i, j]
-    return total
+    return _row_order_sum(m, pi)
+
+
+def _row_order_sum(m: np.ndarray, columns) -> float:
+    # One addition per row, in row order, from 0.0: np.add.accumulate adds
+    # sequentially, where np.sum adds pairwise and fsum exactly.
+    terms = np.empty(m.shape[0] + 1)
+    terms[0] = 0.0
+    terms[1:] = m[np.arange(m.shape[0]), columns]
+    return float(np.add.accumulate(terms)[-1])
 
 
 def assignment_value(matrix, permutation) -> float:
@@ -88,5 +94,5 @@ def solve_max_assignment(matrix) -> Assignment:
 
     m = as_cost_matrix(matrix)
     _, column_of_row = linear_sum_assignment(m, maximize=True)
-    permutation = tuple(int(j) for j in column_of_row)
-    return Assignment(permutation=permutation, value=_row_order_value(m, permutation))
+    return Assignment(permutation=tuple(column_of_row.tolist()),
+                      value=_row_order_sum(m, column_of_row))

@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .gains import GainModel
+import numpy as np
+
+from .gains import GainModel, _elementwise
 
 __all__ = [
     "BRACKET_WIDTH",
@@ -39,6 +41,7 @@ BRACKET_WIDTH = 1e-10
 # overflows past it.
 _R_MAX = math.log(sys.float_info.max)
 _DOUBLE_LOG_GUARD = math.exp(-math.e)
+_expm1 = _elementwise(math.expm1)
 
 
 class BracketError(RuntimeError):
@@ -73,64 +76,97 @@ def tail_quantile(model: GainModel, p: float) -> QuantileResult:
 
 
 def tail_quantiles(model: GainModel, levels: Iterable[float]) -> list[QuantileResult]:
-    """Solve L(e^r - 1) = p for r by bisection, at each level p in turn.
+    """Solve L(e^r - 1) = p for r by bisection, at every level p in lockstep.
 
     The map r -> log L(e^r - 1) is continuous and strictly decreasing from 0,
     so a bracket found by doubling r from [0, 1], up to the largest r at
     which e^r - 1 is a double (about 709.78), is bisected to width
-    ``BRACKET_WIDTH``.  Every level starts from the same bracket, so the
-    levels of one call share many points r; each is evaluated once per
-    call and forgotten when it returns.  As ``model.log_laplace`` depends
-    on rho alone, the results equal separate ``tail_quantile`` solves.
+    ``BRACKET_WIDTH``.  The levels, sorted by p, take these steps together,
+    and each step evaluates the transform in one batch over the distinct
+    points the levels ask for.  Every level starts from the same bracket, so
+    levels share many points; each distinct r is evaluated once per call.
+    As ``model.log_laplace`` depends on rho alone, the results, brackets,
+    residuals and iteration counts included, equal separate
+    ``tail_quantile`` solves.
 
     Raises:
         ValueError: unless 0 < p < 1 for every level, checked before any
             solve.
-        BracketError: if a quantile lies beyond that largest r.
+        BracketError: if a quantile lies beyond that largest r; it names
+            the first such level in input order.
     """
     levels = [float(p) for p in levels]
     if not all(0.0 < p < 1.0 for p in levels):
         raise ValueError("quantile level p must lie strictly between 0 and 1")
-    values: dict[float, float] = {}
+    # A stable sort by p.  At a shared point a smaller p goes right whenever
+    # a larger one does, so the brackets stay in p order: the points asked
+    # for are nonincreasing, and equal ones sit next to each other.
+    order = sorted(range(len(levels)), key=levels.__getitem__)
+    target = np.array([math.log(levels[k]) for k in order])
+    low, high = _doubled_brackets(model, target, levels, order)
+    results: list[QuantileResult | None] = [None] * len(levels)
+    live = order  # the levels still bisecting, in p order
+    step = 0
+    while live:
+        mid = 0.5 * (low + high)
+        value = _log_tails(model, mid)
+        narrowing = high - low > BRACKET_WIDTH
+        if np.count_nonzero(narrowing) < narrowing.size:
+            # A level whose bracket is narrow enough asked for its root r.
+            for k in np.flatnonzero(~narrowing).tolist():
+                results[live[k]] = QuantileResult(
+                    p=levels[live[k]], r=float(mid[k]), bracket=(float(low[k]), float(high[k])),
+                    residual=float(value[k] - target[k]), iterations=step)
+            live = [i for i, keep in zip(live, narrowing.tolist()) if keep]
+            low, high, target, mid, value = (
+                a[narrowing] for a in (low, high, target, mid, value))
+        right = value > target
+        low = np.where(right, mid, low)
+        high = np.where(right, high, mid)
+        step += 1
+        if step > 2000 and live:
+            raise BracketError("bisection failed to shrink the bracket")
+    return results
 
-    def defect(r: float) -> float:
-        if r not in values:
-            values[r] = model.log_laplace(math.expm1(r))
-        return values[r]
 
-    return [_bisect(defect, p) for p in levels]
+def _log_tails(model: GainModel, r: np.ndarray) -> np.ndarray:
+    """log L(e^r - 1) at each element of a nonincreasing array r.
+
+    Equal elements sit next to each other, so one comparison of neighbours
+    finds the distinct ones, and the transform sees each once.
+    """
+    first = np.empty(r.size, dtype=bool)
+    first[0] = True
+    np.not_equal(r[1:], r[:-1], out=first[1:])
+    if np.count_nonzero(first) == first.size:
+        return model._log_laplace_values(_expm1(r))
+    return model._log_laplace_values(_expm1(r[first]))[np.cumsum(first) - 1]
 
 
-def _bisect(defect: Callable[[float], float], p: float) -> QuantileResult:
-    target = math.log(p)
-    low, high = 0.0, 1.0
-    value_high = defect(high)
-    while value_high > target:
-        if high == _R_MAX:
+def _doubled_brackets(model: GainModel, target: np.ndarray, levels: list[float],
+                      order: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Brackets [low, high] of the levels in ``order``, by doubling high from 1.
+
+    Every level doubles through the same points, so each step evaluates one.
+    The levels still doubling are those whose target lies below the value
+    there, a prefix of the sorted levels.
+    """
+    low = np.zeros(len(levels))
+    high = np.ones(len(levels))
+    point, doubling = 1.0, len(levels)
+    while doubling:
+        value = _log_tails(model, np.array([point]))[0]
+        doubling = int(np.count_nonzero(target[:doubling] < value))
+        if doubling and point == _R_MAX:
+            p = levels[min(order[:doubling])]
             raise BracketError(
                 f"no bracket for p = {p:g}: the quantile lies beyond r = {_R_MAX!r}, "
                 "where e^r - 1 overflows a double"
             )
-        low, high = high, min(2.0 * high, _R_MAX)
-        value_high = defect(high)
-    iterations = 0
-    while high - low > BRACKET_WIDTH:
-        mid = 0.5 * (low + high)
-        if defect(mid) > target:
-            low = mid
-        else:
-            high = mid
-        iterations += 1
-        if iterations > 2000:
-            raise BracketError("bisection failed to shrink the bracket")
-    r = 0.5 * (low + high)
-    return QuantileResult(
-        p=p,
-        r=r,
-        bracket=(low, high),
-        residual=defect(r) - target,
-        iterations=iterations,
-    )
+        low[:doubling] = point
+        point = min(2.0 * point, _R_MAX)
+        high[:doubling] = point
+    return low, high
 
 
 def tail_probability(model: GainModel, r: float) -> float:

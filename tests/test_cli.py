@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -90,6 +91,15 @@ def test_predict_reports_a_quantile_past_the_double_range_as_numeric_failure() -
     assert result.exit_code == cli.EXIT_NUMERIC
     assert "overflows a double" in result.output
     assert "Traceback" not in result.output
+
+
+def test_predict_names_the_first_unbracketable_size_in_input_order() -> None:
+    result = _run("predict", "constant:1e307", "2,1000000000000,10000000000")
+    assert result.exit_code == cli.EXIT_NUMERIC
+    assert result.output == (
+        "error: no bracket for p = 1e-12: the quantile lies beyond r = 709.782712893384, "
+        "where e^r - 1 overflows a double\n"
+    )
 
 
 def test_predict_pareto_reports_growth_law() -> None:
@@ -186,6 +196,27 @@ def test_knife_edge_and_large_size_bytes_are_pinned() -> None:
         "600,2.7586322741990443,2.3253419066409875,1655.1793645194266,2226.9817606565271\n"
         "1000,2.8867748298507649,2.4789951067122402,2886.7748298507649,3865.2894678321309\n"
     )
+
+
+# SHA-256 of the predict-grid benchmark reports (perfbench/digests.json) at
+# seeds 0 and 27, for uniform and pareto:1.5.  Seed 27 holds the Pareto knife
+# edge at n = 5243.
+_PREDICT_GRID_DIGESTS = {
+    0: ("3e3c23527152b254a23d94470c49f93dd89692160369112d185589c8443e7b20",
+        "b6e7ababf33fc73906a4774e51013a2ef03abd42c7e1dbcecdddc39dc6aee597"),
+    27: ("2bf0e3a807023bdbeb7c03381196fe77c5e9a9b178a622c06db820c3f3d64090",
+         "989985ee5376421c569565eca98a5ca1b65e234c25282e1d0e16e0dbd1bb72d1"),
+}
+
+
+@pytest.mark.parametrize("seed", _PREDICT_GRID_DIGESTS)
+def test_predict_grid_reports_keep_the_recorded_bytes(seed: int) -> None:
+    sizes = [*range(16 + seed % 200, 10_000, 200), 10_000]
+    grid = ",".join(map(str, sizes))
+    for model, expected in zip(("uniform", "pareto:1.5"), _PREDICT_GRID_DIGESTS[seed]):
+        result = _run("predict", model, grid)
+        assert result.exit_code == 0, result.output
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == expected, model
 
 
 def test_predict_steep_pareto_matches_a_40_digit_root() -> None:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import pickle
+import sys
 import tracemalloc
 
 import numpy as np
@@ -228,6 +230,41 @@ def test_closed_form_transforms_match_a_40_digit_oracle(model) -> None:
         assert abs(value - reference) <= 1e-13 * max(1.0, abs(reference)), rho
 
 
+# Points on every branch of each built-in transform, with the SHA-256 of the
+# little-endian doubles log_laplace gives there, sorted by rho.  exp: rho <
+# 1e-7, kve, and s = 2 sqrt(rho) >= 1e4, where 128 s s overflows from about
+# 3.5e305; uniform: expn, hyperu past about 700, and the series from 1e4;
+# pareto: rho < alpha, gammainc, and the far tail from alpha + 700.
+_COMMON_RHOS = (5e-324, 1e-300, 1e-20, 1e-9, 1e-4, 0.3, 1.0, 7.5, 100.0, 1e6, 1e12, 1e100,
+                1e300, sys.float_info.max)
+_PINNED_TRANSFORMS = {
+    "exp": (ExponentialGain(), (9.9e-8, 1e-7, 2.4999e7, 2.5e7, 1e8, 1e305, 1e306, 1.7e308),
+            "d1b45ed8cda87ec8e6d243c3a37ee1a921e97a88d93b6a74a94718ca2bbea0c8"),
+    "uniform": (UniformGain(), (690.0, 700.0, 705.0, 710.0, 1000.0, 9999.0, 1e4, 1e5),
+                "0a89cf64f8f34d6a7e5430fe2b188ac20b95b969766f48c673b67003ffa2de20"),
+    "pareto:1.5": (ParetoGain(1.5), (1.4999, 1.5, 2.0, 701.4, 701.5, 1000.0),
+                   "9d33ed97863f61d8f00d5b24acd0aa108977160bd6d16bfa179dae782b8003cd"),
+    "pareto:3.0": (ParetoGain(3.0), (2.9999, 3.0, 10.0, 702.9, 703.0, 1000.0),
+                   "356e172cceb02634a7b72ac5784961997aeef97dd1b35ee1940ef30091f42165"),
+    "constant:2.5": (ConstantGain(2.5), (),
+                     "a2830e76968c19b38234106c9b86ad56e3592cf6ffd58c7f3781862bdaefb8f1"),
+}
+
+
+def _sha256(values) -> str:
+    return hashlib.sha256(np.asarray(values, dtype="<f8").tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("spec", _PINNED_TRANSFORMS)
+def test_builtin_transforms_keep_every_bit(spec: str) -> None:
+    model, extra, expected = _PINNED_TRANSFORMS[spec]
+    rhos = sorted((*_COMMON_RHOS, *extra))
+    assert _sha256([model.log_laplace(rho) for rho in rhos]) == expected
+    # The batch form, over the whole grid at once and in reverse.
+    assert _sha256(model._log_laplace_values(np.array(rhos))) == expected
+    assert _sha256(model._log_laplace_values(np.array(rhos[::-1]))[::-1]) == expected
+
+
 @pytest.mark.parametrize("model", (ExponentialGain(), UniformGain()), ids=lambda model: model.spec)
 def test_exponential_and_uniform_transforms_run_no_quadrature(model, monkeypatch) -> None:
     def refuse(*args, **kwargs):
@@ -338,6 +375,29 @@ class UnitGain(GainModel):
 
     def _log_laplace(self, rho):
         return -rho
+
+
+def test_a_law_gives_its_transform_in_either_form() -> None:
+    class NoTransform(GainModel):
+        spec = "none"
+
+    with pytest.raises(NotImplementedError, match="NoTransform defines no transform"):
+        NoTransform().log_laplace(1.0)
+    with pytest.raises(NotImplementedError, match="NoTransform defines no transform"):
+        NoTransform()._log_laplace_values(np.array([1.0]))
+
+    class Halved(ExponentialGain):
+        def _log_laplace(self, rho: float) -> float:
+            return ExponentialGain().log_laplace(rho / 2.0)
+
+    rhos = np.array([1e-9, 0.5, 7.0, 1e4, 1e8])
+    # A scalar law, or a scalar override of a built-in one, answers a batch
+    # point by point; a built-in law's scalar form is its batch at one point.
+    assert UnitGain()._log_laplace_values(rhos).tolist() == (-rhos).tolist()
+    assert Halved()._log_laplace_values(rhos).tolist() == [
+        ExponentialGain().log_laplace(rho / 2.0) for rho in rhos.tolist()]
+    assert ExponentialGain()._log_laplace_values(rhos).tolist() == [
+        ExponentialGain().log_laplace(rho) for rho in rhos.tolist()]
 
 
 def test_user_density_has_no_asymptotic_form() -> None:

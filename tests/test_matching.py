@@ -167,6 +167,33 @@ def test_value_consistent_with_recomputation() -> None:
         assert result.value == assignment_value(matrix, result.permutation)
 
 
+def _row_order_sum(matrix, permutation) -> float:
+    """The reference: one float addition per row, in row order."""
+    total = 0.0
+    for i, j in enumerate(permutation):
+        total += float(matrix[i][j])
+    return total
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 200])
+def test_values_are_summed_in_row_order_bit_for_bit(n: int) -> None:
+    rng = np.random.default_rng(n)
+    matrix = generate_cost_matrix(ParetoGain(1.5), n, rng)
+    result = solve_max_assignment(matrix)
+    assert result.value.hex() == _row_order_sum(matrix, result.permutation).hex()
+    shuffled = rng.permutation(n)
+    assert assignment_value(matrix, shuffled).hex() == _row_order_sum(matrix, shuffled).hex()
+
+
+def test_values_are_summed_neither_exactly_nor_pairwise() -> None:
+    # In row order 1e16 absorbs each 1.0 and the sum is 0.0; fsum gives 6.0
+    # and numpy's pairwise sum 4.0.
+    diagonal = [1e16, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, -1e16]
+    assert math.fsum(diagonal) == 6.0 and np.sum(diagonal) == 4.0
+    assert assignment_value(np.diag(diagonal), range(8)) == 0.0 == _row_order_sum(
+        np.diag(diagonal), range(8))
+
+
 def test_repeat_solves_return_identical_floats() -> None:
     rng = np.random.default_rng(17)
     matrix = rng.random((15, 15))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import sys
 
@@ -19,6 +20,7 @@ from logassign import (
     UniformGain,
     asymptotic_prediction,
     asymptotic_quantile,
+    parse_model_spec,
     predicted_max,
     prediction_table,
     slow_variation_ratio,
@@ -111,6 +113,11 @@ class CountingGain(GainModel):
 GRID = (1e-4, 0.3, 1.0 / 16, 1e-8, 1e-4, 1.0 / 221, 0.3, 1e-12)
 
 
+# Transform evaluations of one tail_quantiles call on GRID: each distinct r
+# once, as many as a memo of every point gives.
+GRID_EVALUATIONS = {"constant:1.0": 212, "exp": 217, "pareto:2.0": 229, "uniform": 212}
+
+
 @pytest.mark.parametrize("law", BUILTINS, ids=lambda law: law.spec)
 def test_tail_quantiles_equal_separate_solves_with_fewer_transforms(law) -> None:
     separate = CountingGain(law)
@@ -125,10 +132,40 @@ def test_tail_quantiles_equal_separate_solves_with_fewer_transforms(law) -> None
         assert got.residual == want.residual
         assert got.iterations == want.iterations
     assert shared.calls < separate.calls
-    # Each call starts from an empty memo.
+    assert shared.calls == GRID_EVALUATIONS[law.spec]
+    # Each call evaluates its points afresh.
     first = shared.calls
     assert tail_quantiles(shared, GRID) == results
     assert shared.calls == 2 * first
+
+
+# SHA-256 of the repr of every (p, r, bracket, residual, iterations) at the
+# levels 1/n of predict-grid's seed-0 grid and of n = 2..299.  Residuals
+# carry the transform's last bit at every point of the final step, so this
+# also pins how the transform is evaluated in bulk.
+PINNED_QUANTILES = {
+    "exp": "754cba0c69868c65cfdd3751f21a08e5dc078c86ecbc572b2a55454182c3b8d2",
+    "uniform": "430d22f616960d38890e3026551230c65800ff145033b76a03817094e459dd03",
+    "pareto:1.5": "4dd8f7be7e6caa9c276f6712b445e595729e782fdd30b0288d9474c9c483ff10",
+    "pareto:3": "41ca792632999ddb15376e6c5b685a3da04914b0df0628ac410ec06b5e8a4c52",
+    "constant:2.5": "94389126440e8b240fb9ee323213ef651532dcf163da43be0b3cd209158ffdca",
+}
+
+
+@pytest.mark.parametrize("spec", PINNED_QUANTILES)
+def test_quantile_results_keep_every_bit(spec: str) -> None:
+    levels = [1.0 / n for n in [*range(16, 10_000, 200), 10_000, *range(2, 300)]]
+    digest = hashlib.sha256()
+    for q in tail_quantiles(parse_model_spec(spec), levels):
+        digest.update(repr((q.p, q.r, q.bracket, q.residual, q.iterations)).encode())
+    assert digest.hexdigest() == PINNED_QUANTILES[spec]
+
+
+@pytest.mark.parametrize("sizes,p", [([2, 10**12, 10**10], "1e-12"), ([10**10, 10**12], "1e-10")])
+def test_the_first_unbracketable_level_in_input_order_is_reported(sizes, p) -> None:
+    # Both large sizes have roots past log(DBL_MAX); n = 2 has one below it.
+    with pytest.raises(BracketError, match=f"no bracket for p = {p}:"):
+        prediction_table(ConstantGain(1e307), sizes)
 
 
 def test_tail_quantiles_check_every_level_before_solving() -> None:
