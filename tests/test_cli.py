@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
@@ -546,6 +547,24 @@ def test_solve_rejects_ragged_matrix(tmp_path) -> None:
     path = tmp_path / "ragged.csv"
     path.write_text("1,2\n3\n")
     assert _run("solve", str(path)).exit_code == 2
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("1e308,0\n0,1e308\n", "the assignment's total cost overflows a double"),
+    ("1.5e308,-1e308\n0,0\n", "cost matrix row 0 spreads from -1e+308 to 1.5e+308"),
+], ids=["total", "spread"])
+def test_solve_rejects_a_matrix_beyond_a_double_without_a_warning(
+    tmp_path, rows, message
+) -> None:
+    path = tmp_path / "huge.csv"
+    path.write_text(rows)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = _run("solve", str(path))
+    assert result.exit_code == 2
+    assert message in result.output
+    assert "value" not in result.output and "Traceback" not in result.output
+    assert caught == []
 
 
 def test_help_shows_model_grammar() -> None:

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import math
+import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.optimize import linear_sum_assignment
 
 from logassign import (
@@ -215,6 +219,66 @@ def test_invalid_matrices_are_rejected() -> None:
         solve_max_assignment([[np.inf, 0.0], [0.0, 1.0]])
 
 
+def test_an_overflowing_total_is_a_value_error_without_a_warning() -> None:
+    matrix = [[1e308, 0.0], [0.0, 1e308]]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="overflows a double: .* at row 1$"):
+            solve_max_assignment(matrix)
+        with pytest.raises(ValueError, match="overflows a double"):
+            assignment_value(matrix, (0, 1))
+        assert assignment_value(matrix, (1, 0)) == 0.0
+    assert caught == []
+
+
+@pytest.mark.parametrize("matrix, message", [
+    ([[1.5e308, -1e308], [0.0, 0.0]], "row 0 spreads from -1e+308 to 1.5e+308"),
+    ([[0.0, 0.0], [-1e308, 1e308]], "row 1 spreads from -1e+308 to 1e+308"),
+    ([[1e308, -1e308], [-1e308, 1e308]], "row 0 spreads from -1e+308 to 1e+308"),
+], ids=["first-row", "second-row", "both-rows"])
+def test_a_row_spread_beyond_a_double_is_rejected_before_solving(
+    monkeypatch, matrix, message
+) -> None:
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the solver ran")
+
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", unreachable)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match=re.escape(
+                f"cost matrix {message}, a difference that overflows a double")):
+            solve_max_assignment(matrix)
+    assert caught == []
+
+
+def test_only_the_spread_within_a_row_must_fit_a_double() -> None:
+    # The matrix spans 2e308, but each row is flat, so every reduced cost is 0.
+    result = solve_max_assignment([[1e308, 1e308], [-1e308, -1e308]])
+    assert result.value == 0.0
+    assert sorted(result.permutation) == [0, 1]
+
+
+def test_the_solver_holds_one_working_copy_and_never_writes_its_input() -> None:
+    n = 300
+    matrix = generate_cost_matrix(ExponentialGain(), n, replicate_stream(4, n, 0))
+    solve_max_assignment(matrix)  # imports scipy.optimize outside the trace
+    tracemalloc.start()
+    try:
+        solve_max_assignment(matrix)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # One n x n buffer of doubles, the reduced costs, plus numpy's fixed
+    # 64 KiB ufunc buffer and O(n) vectors.
+    assert peak < 1.25 * n * n * 8
+    frozen = matrix.copy()
+    frozen.flags.writeable = False
+    for given in (matrix, frozen):
+        before = given.tobytes()
+        solve_max_assignment(given)
+        assert given.tobytes() == before
+
+
 def test_solver_checks_its_input_once(monkeypatch) -> None:
     checked = []
 
@@ -263,7 +327,51 @@ def test_lp_duals_certify_the_solver_on_larger_instances(model, n) -> None:
     _assert_certified_optimal(generate_cost_matrix(model, n, replicate_stream(2, n, 0)))
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n", [50, 300])
+@pytest.mark.parametrize("model", _LP_LAWS + (ParetoGain(1.5),), ids=lambda model: model.spec)
+def test_the_reduced_solve_keeps_the_maximizing_permutation(model, n, seed) -> None:
+    matrix = generate_cost_matrix(model, n, replicate_stream(seed, n, 0))
+    result = solve_max_assignment(matrix)
+    _, columns = linear_sum_assignment(matrix, maximize=True)
+    assert result.permutation == tuple(columns.tolist())
+    assert result.value.hex() == assignment_value(matrix, result.permutation).hex()
+
+
+def _offset(rng, n=60):
+    # Row and column offsets move every assignment by the same total, so the
+    # reduction removes them and only the unit-scale costs decide.
+    return (rng.random((n, n)) + rng.uniform(-1e6, 1e6, size=(n, 1))
+            + rng.uniform(-1e6, 1e6, size=(1, n)))
+
+
+def _additive(rng, n=80):
+    # Every permutation scores sum(a) + sum(b): the reduced matrix is all
+    # rounding error.
+    return rng.normal(scale=10.0, size=(n, 1)) + rng.normal(scale=10.0, size=(1, n))
+
+
+def test_row_and_column_offsets_keep_the_maximizing_permutation() -> None:
+    matrix = _offset(np.random.default_rng(43))
+    _, columns = linear_sum_assignment(matrix, maximize=True)
+    assert solve_max_assignment(matrix).permutation == tuple(columns.tolist())
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_matrices_the_reduction_flattens_match_brute_force(n) -> None:
+    rng = np.random.default_rng(n)
+    additive = _additive(rng, n)
+    assert solve_max_assignment(additive).value == pytest.approx(
+        brute_force_max_assignment(additive).value, rel=1e-12, abs=1e-12)
+    equal = np.full((n, n), -3.75)
+    assert (solve_max_assignment(equal).value == brute_force_max_assignment(equal).value
+            == -3.75 * n)
+
+
 _CRAFTED = {
+    "offsets": _offset,
+    "additive": _additive,
+    "all-equal": lambda rng: np.full((40, 40), -3.75),
     "integer": lambda rng: rng.integers(0, 1000, size=(60, 60)).astype(float),
     # Costs from {0, 1, 2}: many optima tie.
     "tied": lambda rng: rng.integers(0, 3, size=(50, 50)).astype(float),
