@@ -6,24 +6,24 @@ numbers cannot depend on scheduling; workers may run in any order and the
 report still comes out bit-identical.  Quenched runs key one extra stream
 per size from (master seed, size) for the frozen gain matrix and leave the
 replicate streams untouched, which makes a constant-gain quenched run
-coincide exactly with its annealed twin.  The parent draws each frozen
-matrix once, read-only, and every replicate task of that size carries it.
-The module holds no state, so runs may overlap in threads.
+coincide exactly with its annealed twin.  The module holds no state, so
+runs may overlap in threads.
 
-A run opens one process pool for all its sizes when ``parallelism`` and
-the CPU count both exceed 1, with no more workers than either, nor than it
-has chunks.  Each size's replicates go out in one chunk per worker,
-largest size first, so the chunks left at the end are the cheapest.  The
-executor pickles a chunk in one call, so each chunk carries its size's
-frozen matrix once, and the parent computes the predictions while the
-workers solve.
+The unit of work is a chunk: a range of one size's replicates.  A
+quenched chunk draws its size's frozen matrix itself, read-only, from the
+(seed, n) stream, so every copy is bit-identical and a task carries no
+array.  In process a size is one chunk.  A run opens one process pool for
+all its sizes when ``parallelism`` and the CPU count both exceed 1, with
+no more workers than either, nor than it has chunks; each size then goes
+out in one chunk per worker, largest size first, so the chunks left at
+the end are the cheapest.  The price of a quenched pooled run is one gain
+draw per chunk, so at most one per worker and size.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import math
 import os
@@ -178,21 +178,6 @@ def _frozen_gains(model: GainModel, n: int, master_seed: int) -> np.ndarray:
     return gains
 
 
-def _size_tasks(config: ExperimentConfig, n: int) -> list[tuple]:
-    """The replicate tasks of size n, each with its size's frozen gains or None."""
-    gains = None
-    if config.mode == QUENCHED:
-        gains = _frozen_gains(config.model, n, config.master_seed)
-    return [(config.model, n, rep, config.master_seed, gains)
-            for rep in range(config.replicates)]
-
-
-def _raising(error: Exception):
-    """An iterator that raises ``error`` when it is first read."""
-    raise error
-    yield
-
-
 def _replicate_value(args) -> float:
     model, n, replicate, master_seed, gains = args
     try:
@@ -201,6 +186,13 @@ def _replicate_value(args) -> float:
         return solve_max_assignment(matrix).value
     except Exception as exc:
         raise ReplicateError(n, replicate, str(exc)) from exc
+
+
+def _chunk_values(task) -> list[float]:
+    """The optima of a chunk's replicates; a quenched chunk draws its frozen gains."""
+    model, n, replicates, master_seed, quenched = task
+    gains = _frozen_gains(model, n, master_seed) if quenched else None
+    return [_replicate_value((model, n, rep, master_seed, gains)) for rep in replicates]
 
 
 def _compensated_sum(values) -> float:
@@ -221,33 +213,39 @@ def _compensated_sum(values) -> float:
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Simulate every configured size and attach both predictions.
 
-    Let ``jobs = min(parallelism, os.cpu_count())``.  All replicates of all
-    sizes go to one process pool (none when ``jobs == 1``) of at most as
-    many workers as there are chunks.  Each size is split into at most
-    ``jobs`` chunks of ``ceil(replicates / jobs)`` replicates, queued
-    largest size first.  The parent draws each frozen gain matrix of a
-    quenched run as it builds that size's tasks, which carry it; in
-    process it holds one at a time.  The predictions are one
-    :func:`~logassign.quantile.prediction_table`, computed while the
-    workers solve.  Replicate optima are read back and aggregated in
-    replicate order with compensated summation, so reports do not vary
-    with ``parallelism``.  Any replicate failure aborts the run, cancels
-    the replicates still queued, and raises the :class:`ReplicateError` of
-    the first failing (n, replicate) pair in serial order.  A frozen
-    matrix that cannot be drawn fails replicate 0 of its size.  A worker
-    process that dies raises ``BrokenProcessPool``.
+    The predictions are one :func:`~logassign.quantile.prediction_table`,
+    computed first, so a size that cannot be predicted fails the run before
+    any draw.  Let ``jobs = min(parallelism, os.cpu_count())``.  In process
+    (``jobs == 1``) each size is one chunk of all its replicates, and a
+    quenched run holds one frozen matrix at a time.  Otherwise all sizes go
+    to one process pool of at most as many workers as there are chunks:
+    each size is split into at most ``jobs`` chunks of ``ceil(replicates /
+    jobs)`` replicates, queued largest size first.  A quenched chunk draws
+    its size's frozen gain matrix in the process that runs it, so the
+    parent draws none and no task carries one.  Replicate optima are read
+    back and aggregated in replicate order with compensated summation, so
+    reports do not vary with ``parallelism``.  Any replicate failure aborts
+    the run, cancels the chunks still queued, and raises the
+    :class:`ReplicateError` of the first failing (n, replicate) pair in
+    serial order.  A frozen matrix that cannot be drawn fails replicate 0
+    of its size.  A worker process that dies raises ``BrokenProcessPool``.
     """
     m, model, sizes = config.replicates, config.model, config.sizes
+    predictions = prediction_table(model, sizes)
     # More workers than CPUs only contend, and the pool forks them all at once.
     jobs = min(config.parallelism, os.cpu_count() or 1)
+    chunk = math.ceil(m / jobs)
+
+    def size_chunks(n):
+        return [(model, n, range(m)[start : start + chunk], config.master_seed,
+                 config.mode == QUENCHED) for start in range(0, m, chunk)]
+
     pool = None
     try:
         if jobs == 1:
-            results = itertools.chain.from_iterable(
-                map(_replicate_value, _size_tasks(config, n)) for n in sizes)
+            by_size = [map(_chunk_values, size_chunks(n)) for n in sizes]
         else:
             # One chunk per worker and size, and no worker without a chunk.
-            chunk = math.ceil(m / jobs)
             chunks = len(sizes) * math.ceil(m / chunk)
             # solve_max_assignment imports scipy.optimize on first use.  Import
             # it before the pool forks its workers, so they inherit it rather
@@ -255,22 +253,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             import scipy.optimize  # noqa: F401
             pool = ProcessPoolExecutor(max_workers=min(jobs, chunks))
             # map submits at once, so the whole queue stands, largest size
-            # first and cheapest chunks last, before the parent predicts.
-            # Largest first also lets smaller frozen draws reuse the heap that
-            # larger draws' temporaries freed.  A draw that fails is raised
-            # only when its size is read back, and reading sizes in order
-            # raises the first failure in serial order.
-            by_size = []
-            for n in reversed(sizes):
-                try:
-                    tasks = _size_tasks(config, n)
-                except ReplicateError as error:
-                    by_size.append(_raising(error))
-                else:
-                    by_size.append(pool.map(_replicate_value, tasks, chunksize=chunk))
-            results = itertools.chain.from_iterable(reversed(by_size))
-        predictions = prediction_table(model, sizes)
-        optima = list(results)
+            # first and cheapest chunks last.  Reading sizes back smallest
+            # first raises the first failure in serial order.
+            by_size = [pool.map(_chunk_values, size_chunks(n))
+                       for n in reversed(sizes)][::-1]
+        optima = [value for results in by_size for values in results for value in values]
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)

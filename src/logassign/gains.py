@@ -386,9 +386,12 @@ class ParetoGain(GainModel):
         Computes ``(1.0 - u) ** (-1 / (alpha - 1))`` in one fresh array.
         The in-place power takes numpy's scalar-exponent fast paths, as the
         plain expression does, so the bits are the same.  ``u`` is only read.
+        A gain that overflows a double comes out as inf, without a warning,
+        and the checks of the gain matrix name it.
         """
         v = np.subtract(1.0, u)
-        v **= -1.0 / (self.alpha - 1.0)
+        with np.errstate(over="ignore"):
+            v **= -1.0 / (self.alpha - 1.0)
         return v
 
     def sample(self, rng: np.random.Generator, size=None):
@@ -584,8 +587,12 @@ def _checked_gains(gains, n: int) -> np.ndarray:
         raise ValueError(f"gain matrix shape {gains.shape} does not match n = {n}")
     # NaN propagates through min and max, so two reductions cover every entry
     # without an n x n temporary.
-    if not (gains.min() > 0.0 and gains.max() < math.inf):
-        raise ValueError("gain matrix entries must be positive finite reals")
+    if not gains.min() > 0.0:
+        raise ValueError("gain matrix entries must be positive finite reals: "
+                         "an entry is zero, negative or NaN")
+    if not gains.max() < math.inf:
+        raise ValueError("gain matrix entries must be positive finite reals: "
+                         "a gain overflows a double")
     return gains
 
 

@@ -25,6 +25,7 @@ from logassign import (
     QuadratureError,
     ReplicateError,
     cli,
+    experiment,
     parse_report_csv,
 )
 from logassign.cli import main, parse_sizes
@@ -288,6 +289,32 @@ def test_simulate_quenched_jobs_flag_leaves_output_unchanged() -> None:
     assert _run(*base, "--jobs", "2").output == serial.output
 
 
+@pytest.mark.parametrize("mode", ["annealed", "quenched"])
+def test_simulate_names_a_gain_that_overflows_a_double(mode: str) -> None:
+    # pareto:1.01 draws (1 - u) ** -100, which overflows for about 8 in 10**4
+    # draws, so a 100 x 100 gain matrix all but surely holds an inf.
+    completed = _run_module("logassign", "simulate", "pareto:1.01", "--sizes", "100",
+                            "--replicates", "2", "--mode", mode)
+    assert completed.returncode == cli.EXIT_SIMULATION
+    assert completed.stderr == (
+        "error: replicate 0 at n = 100 failed: gain matrix entries must be "
+        "positive finite reals: a gain overflows a double\n")
+    assert "RuntimeWarning" not in completed.stderr
+
+
+def test_simulate_refuses_an_unpredictable_run_before_any_pool(monkeypatch) -> None:
+    class RefusingPool:
+        def __init__(self, *args, **kwargs):
+            raise RuntimeError("no pool here")
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", RefusingPool)
+    # q(1/3) of pareto:1.001 is about 1,100, beyond r = log(DBL_MAX).
+    result = _run("simulate", "pareto:1.001", "--sizes", "3,4", "--replicates", "2",
+                  "--jobs", "2")
+    assert result.exit_code == cli.EXIT_NUMERIC
+    assert "no bracket" in result.output and "Traceback" not in result.output
+
+
 _TEST_PID = os.getpid()
 
 
@@ -385,20 +412,25 @@ def test_simulate_rejects_size_two_before_simulating() -> None:
     assert "Traceback" not in result.output
 
 
-@pytest.mark.parametrize("module", ["logassign", "logassign.cli"])
-def test_python_dash_m_runs_the_cli(module: str) -> None:
+def _run_module(module: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``python -m module args`` in a child, with Python's default warning filters."""
     # The child must import the same package under test, installed or not.
     package_root = str(Path(logassign.__file__).resolve().parent.parent)
     search_path = [package_root, os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, search_path))}
-    completed = subprocess.run(
-        [sys.executable, "-m", module, "predict", "exp", "100"],
+    return subprocess.run(
+        [sys.executable, "-m", module, *args],
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
         check=False,
     )
+
+
+@pytest.mark.parametrize("module", ["logassign", "logassign.cli"])
+def test_python_dash_m_runs_the_cli(module: str) -> None:
+    completed = _run_module(module, "predict", "exp", "100")
     assert completed.returncode == 0, completed.stderr
     assert completed.stdout.startswith(
         "n,quantile_numeric,quantile_asymptotic,"

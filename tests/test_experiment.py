@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from logassign import (
+    BracketError,
     ConstantGain,
     DensityGain,
     ExperimentConfig,
@@ -69,20 +70,20 @@ class PickyGain(ExponentialGain):
         return super().sample(rng, size)
 
 
-_TEST_PID = os.getpid()
-
-
 @dataclass(frozen=True)
-class ParentDrawnGain(ParetoGain):
-    """Pareto gains that refuse to be drawn outside the test process.
+class LoggedDrawGain(ParetoGain):
+    """Pareto gains that append the drawing process and the size to a file.
 
-    In a quenched run, workers draw only fades, so a pool worker that draws
-    gains would be drawing a frozen gain matrix the parent already drew.
+    In a quenched run replicates draw only fades, so every gain draw is a
+    frozen matrix.  Defined at module level so that pool workers can
+    unpickle it.
     """
 
+    log: str = ""
+
     def sample(self, rng, size=None):
-        if os.getpid() != _TEST_PID:
-            raise RuntimeError("gains drawn in a worker")
+        with open(self.log, "a") as log:
+            log.write(f"{os.getpid()} {size[0]}\n")
         return super().sample(rng, size)
 
 
@@ -220,6 +221,21 @@ def pool_starts(monkeypatch) -> list:
     return started
 
 
+@pytest.fixture
+def pool_maps(monkeypatch) -> list:
+    """Record the tasks of every map on a pool that the experiment module constructs."""
+    maps = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def map(self, fn, tasks, chunksize=1):
+            tasks = list(tasks)
+            maps.append(tasks)
+            return super().map(fn, tasks, chunksize=chunksize)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+    return maps
+
+
 def _config(**overrides) -> ExperimentConfig:
     settings = dict(
         model=ExponentialGain(),
@@ -272,6 +288,10 @@ def test_parallelism_does_not_change_the_report() -> None:
     serial = run_experiment(_config(sizes=(4, 7), replicates=12, parallelism=1))
     parallel = run_experiment(_config(sizes=(4, 7), replicates=12, parallelism=3))
     assert serial == parallel
+    # Uneven chunks in quenched mode: 11 replicates make chunks of 4, 4 and 3.
+    settings = dict(model=ParetoGain(2.5), sizes=(4, 7), replicates=11, mode="quenched")
+    serial = run_experiment(_config(**settings, parallelism=1))
+    assert run_experiment(_config(**settings, parallelism=3)) == serial
 
 
 def test_one_pool_per_run_and_none_in_process(pool_starts) -> None:
@@ -307,33 +327,29 @@ def test_pool_workers_are_capped_by_the_cpu_count(monkeypatch) -> None:
     assert asked == [2]
 
 
-def test_pool_queues_one_chunk_per_worker_and_size_largest_first(monkeypatch) -> None:
-    maps = []
-
-    class RecordingPool(ProcessPoolExecutor):
-        def map(self, fn, tasks, chunksize=1):
-            tasks = list(tasks)
-            maps.append((tasks, chunksize))
-            return super().map(fn, tasks, chunksize=chunksize)
-
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+def test_pool_queues_one_chunk_per_worker_and_size_largest_first(pool_maps) -> None:
     for mode in ("annealed", "quenched"):
-        maps.clear()
+        pool_maps.clear()
         settings = dict(sizes=(3, 4, 6), replicates=7, mode=mode)
         parallel = run_experiment(_config(**settings, parallelism=2))
         # ceil(7 / 2) = 4 replicates per chunk, so each size makes two chunks.
-        assert [([task[1:3] for task in tasks], chunk) for tasks, chunk in maps] == [
-            ([(n, rep) for rep in range(7)], 4) for n in (6, 4, 3)]
-        for tasks, _ in maps:
-            gains = tasks[0][4]
-            if mode == "annealed":
-                assert gains is None
-            else:
-                assert gains.shape == (tasks[0][1],) * 2 and not gains.flags.writeable
-            # One object per size, so the executor's pickle memo sends it
-            # once per chunk.
-            assert all(task[4] is gains for task in tasks)
+        assert [[task[1:3] for task in tasks] for tasks in pool_maps] == [
+            [(n, range(0, 4)), (n, range(4, 7))] for n in (6, 4, 3)]
+        for tasks in pool_maps:
+            # Every replicate of the size exactly once, and no array in a task.
+            assert sorted(rep for task in tasks for rep in task[2]) == list(range(7))
+            assert all(task[4] is (mode == "quenched") for task in tasks)
+            assert not any(isinstance(part, np.ndarray) for task in tasks for part in task)
         assert parallel == run_experiment(_config(**settings, parallelism=1))
+
+
+def test_pool_tasks_stay_small_whatever_the_size(pool_maps) -> None:
+    run_experiment(_config(model=ParetoGain(3.0), sizes=(200,), replicates=2,
+                           mode="quenched", parallelism=2))
+    # A 200 x 200 frozen matrix alone would pickle to 320,000 bytes.
+    (tasks,) = pool_maps
+    assert len(tasks) == 2
+    assert all(len(pickle.dumps(task, pickle.HIGHEST_PROTOCOL)) < 1024 for task in tasks)
 
 
 def test_first_failure_in_serial_order_wins_over_larger_sizes_queued_first() -> None:
@@ -351,11 +367,50 @@ def test_first_failure_in_serial_order_wins_over_larger_sizes_queued_first() -> 
     assert "picky draw" in errors[0][2]
 
 
-def test_pool_workers_get_frozen_gains_from_the_parent() -> None:
-    settings = dict(model=ParentDrawnGain(alpha=3.0), sizes=(3, 4, 6), replicates=8,
-                    mode="quenched")
+def test_each_pool_chunk_draws_its_own_frozen_gains(tmp_path) -> None:
+    log = tmp_path / "draws.txt"
+    settings = dict(model=LoggedDrawGain(alpha=3.0, log=str(log)), sizes=(3, 4, 6),
+                    replicates=8, mode="quenched")
     serial = run_experiment(_config(**settings, parallelism=1))
+    draws = [line.split() for line in log.read_text().splitlines()]
+    assert draws == [[str(os.getpid()), n] for n in ("3", "4", "6")]
+    log.unlink()
     assert run_experiment(_config(**settings, parallelism=2)) == serial
+    # Two chunks of four per size, each drawing its size's matrix once, and
+    # none drawn by the parent.
+    draws = [line.split() for line in log.read_text().splitlines()]
+    assert sorted(n for _, n in draws) == ["3", "3", "4", "4", "6", "6"]
+    assert str(os.getpid()) not in {pid for pid, _ in draws}
+
+
+@pytest.mark.parametrize("mode", ["annealed", "quenched"])
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_an_unpredictable_run_fails_before_any_draw_or_pool(
+        monkeypatch, mode: str, parallelism: int) -> None:
+    # q(1/3) of pareto:1.001 is about 1,100, beyond r = log(DBL_MAX).
+    calls = []
+
+    def counted(name):
+        original = getattr(experiment, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    class RefusingPool:
+        def __init__(self, *args, **kwargs):
+            calls.append("pool")
+            raise RuntimeError("no pool here")
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", RefusingPool)
+    for name in ("generate_cost_matrix", "_frozen_gains"):
+        monkeypatch.setattr(experiment, name, counted(name))
+    with pytest.raises(BracketError, match="709.78"):
+        run_experiment(_config(model=ParetoGain(1.001), sizes=(3, 4), replicates=2,
+                               mode=mode, parallelism=parallelism))
+    assert calls == []
 
 
 def test_an_unhashable_law_runs_quenched_in_process_and_under_a_pool() -> None:
@@ -501,16 +556,25 @@ def test_failed_replicate_aborts_with_location() -> None:
     assert info.value.replicate == 0
 
 
-@pytest.mark.parametrize("model", [ShapelessGain(), NegativeGain()],
-                         ids=["shape", "sign"])
-def test_bad_gain_draws_fail_the_first_replicate_in_every_mode(model) -> None:
+@pytest.mark.parametrize("model, n, reason", [
+    (ShapelessGain(), 3, "gain matrix shape (3,) does not match n = 3"),
+    (NegativeGain(), 3, "gain matrix entries must be positive finite reals: "
+                        "an entry is zero, negative or NaN"),
+    # (1 - u) ** -100 overflows for about 8 in 10**4 draws.  Warnings are
+    # errors under these tests, so a numpy overflow warning would fail the
+    # replicate with numpy's message in place of this one.
+    (ParetoGain(1.01), 100, "gain matrix entries must be positive finite reals: "
+                            "a gain overflows a double"),
+], ids=["shape", "sign", "overflow"])
+def test_bad_gain_draws_fail_the_first_replicate_in_every_mode(model, n: int,
+                                                               reason: str) -> None:
     for mode in ("annealed", "quenched"):
         for parallelism in (1, 2):
             with pytest.raises(ReplicateError) as info:
-                run_experiment(_config(model=model, sizes=(3, 4), mode=mode,
+                run_experiment(_config(model=model, sizes=(n, n + 1), mode=mode,
                                        parallelism=parallelism))
-            assert (info.value.n, info.value.replicate) == (3, 0)
-            assert "gain matrix" in info.value.reason
+            assert (info.value.n, info.value.replicate) == (n, 0)
+            assert info.value.reason == reason
 
 
 @pytest.mark.parametrize("mode", ["annealed", "quenched"])
