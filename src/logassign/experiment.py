@@ -33,6 +33,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
+from . import gains as gain_laws
 from .gains import GainModel, generate_cost_matrix
 from .matching import solve_max_assignment
 # asymptotic_prediction is imported for callers that take it from here.
@@ -167,11 +168,11 @@ def replicate_stream(
 
 
 def _frozen_gains(model: GainModel, n: int, master_seed: int) -> np.ndarray:
-    """Draw the frozen gain matrix of size n; a failure is replicate 0's."""
+    """Draw and check the frozen gain matrix of size n; a failure is replicate 0's."""
     rng = replicate_stream(master_seed, n, 0, purpose=_PURPOSE_QUENCHED_GAINS)
     try:
         # Freeze a view: the array itself may be one the model hands out again.
-        gains = np.asarray(model.sample(rng, size=(n, n)), dtype=float).view()
+        gains = gain_laws._checked_gains(model.sample(rng, size=(n, n)), n).view()
     except Exception as exc:
         raise ReplicateError(n, 0, str(exc)) from exc
     gains.flags.writeable = False
@@ -182,7 +183,11 @@ def _replicate_value(args) -> float:
     model, n, replicate, master_seed, gains = args
     try:
         rng = replicate_stream(master_seed, n, replicate)
-        matrix = generate_cost_matrix(model, n, rng, gain_matrix=gains)
+        if gains is None:
+            matrix = generate_cost_matrix(model, n, rng)
+        else:
+            # Checked once, when frozen; generate_cost_matrix would check it again.
+            matrix = gain_laws._log_costs(gains, rng, (n, n))
         return solve_max_assignment(matrix).value
     except Exception as exc:
         raise ReplicateError(n, replicate, str(exc)) from exc

@@ -7,6 +7,11 @@ prediction n * quantile(1/n) for the expected optimum of an n x n instance,
 and diagnostics for how slowly the quantile varies in p.  ``prediction_table``
 is the one per-size table of predictions that ``predict`` prints and that
 ``simulate`` sets beside its simulated optima.
+
+The quantiles come from bisection, whose every result is part of the report.
+For a law that states an error bound on its transform, the solver skips the
+bisection steps that the bound already decides: for the same bits, it calls
+the transform a third to a half as often on a grid of sizes.
 """
 
 from __future__ import annotations
@@ -42,6 +47,10 @@ BRACKET_WIDTH = 1e-10
 _R_MAX = math.log(sys.float_info.max)
 _DOUBLE_LOG_GUARD = math.exp(-math.e)
 _expm1 = _elementwise(math.expm1)
+# Secant steps before bisection, at most; then the probes go this many
+# stated errors past the root, more than the 2 a certificate needs.
+_SECANT_STEPS = 8
+_PROBE_MARGIN = 3.0
 
 
 class BracketError(RuntimeError):
@@ -82,12 +91,22 @@ def tail_quantiles(model: GainModel, levels: Iterable[float]) -> list[QuantileRe
     so a bracket found by doubling r from [0, 1], up to the largest r at
     which e^r - 1 is a double (about 709.78), is bisected to width
     ``BRACKET_WIDTH``.  The levels, sorted by p, take these steps together,
-    and each step evaluates the transform in one batch over the distinct
-    points the levels ask for.  Every level starts from the same bracket, so
-    levels share many points; each distinct r is evaluated once per call.
-    As ``model.log_laplace`` depends on rho alone, the results, brackets,
-    residuals and iteration counts included, equal separate
-    ``tail_quantile`` solves.
+    and each step evaluates the transform in at most one batch, over the
+    distinct mids whose side of the root is not yet known.
+
+    A law that states an error bound E for its transform (see
+    ``GainModel``) lets a level certify an evaluated point whose value lies
+    at least 2 E max(1, |value|) above its target: every mid at or below it
+    would move the bracket right.  A point that far below the target sends
+    every mid at or above it left.  Before bisecting, a few secant steps and
+    a pair of probes find such points close to each root, and every point
+    evaluated later adds to them.  Bisection evaluates only the mids
+    strictly between a level's two certified points, and each level's final
+    mid for its residual.  The mids it skips would have moved the bracket
+    the same way, so the results, brackets, residuals and iteration counts
+    included, are those of plain bisection.  A law with no stated bound
+    evaluates every mid.  As ``model.log_laplace`` depends on rho alone, the
+    results also equal separate ``tail_quantile`` solves.
 
     Raises:
         ValueError: unless 0 < p < 1 for every level, checked before any
@@ -98,42 +117,147 @@ def tail_quantiles(model: GainModel, levels: Iterable[float]) -> list[QuantileRe
     levels = [float(p) for p in levels]
     if not all(0.0 < p < 1.0 for p in levels):
         raise ValueError("quantile level p must lie strictly between 0 and 1")
+    if not levels:
+        return []
     # A stable sort by p.  At a shared point a smaller p goes right whenever
-    # a larger one does, so the brackets stay in p order: the points asked
-    # for are nonincreasing, and equal ones sit next to each other.
+    # a larger one does, so the brackets stay in p order: the mids are
+    # nonincreasing, and equal ones sit next to each other.
     order = sorted(range(len(levels)), key=levels.__getitem__)
     target = np.array([math.log(levels[k]) for k in order])
-    low, high = _doubled_brackets(model, target, levels, order)
+    low, high, low_value, high_value = _doubled_brackets(model, target, levels, order)
+    error = model._log_laplace_error()
+    # Every mid at or below ``goes_right`` moves the bracket right, and every
+    # mid at or above ``goes_left`` moves it left.
+    goes_right, goes_left = _certified_points(
+        model, error, target, low, high, low_value, high_value)
     results: list[QuantileResult | None] = [None] * len(levels)
     live = order  # the levels still bisecting, in p order
+    # Each step halves every bracket, up to a rounding far below
+    # BRACKET_WIDTH, so none is narrow enough before this step.
+    narrow_from = int(math.log2((high - low).min() / BRACKET_WIDTH)) - 1
+    finishing = np.zeros(len(live), dtype=bool)
     step = 0
     while live:
         mid = 0.5 * (low + high)
-        value = _log_tails(model, mid)
-        narrowing = high - low > BRACKET_WIDTH
-        if np.count_nonzero(narrowing) < narrowing.size:
-            # A level whose bracket is narrow enough asked for its root r.
-            for k in np.flatnonzero(~narrowing).tolist():
-                results[live[k]] = QuantileResult(
-                    p=levels[live[k]], r=float(mid[k]), bracket=(float(low[k]), float(high[k])),
-                    residual=float(value[k] - target[k]), iterations=step)
-            live = [i for i, keep in zip(live, narrowing.tolist()) if keep]
-            low, high, target, mid, value = (
-                a[narrowing] for a in (low, high, target, mid, value))
-        right = value > target
-        low = np.where(right, mid, low)
-        high = np.where(right, high, mid)
+        right = mid <= goes_right
+        left = mid >= goes_left
+        # Neither certificate decides: both say no, or they disagree.
+        asked = right == left
+        if step >= narrow_from:
+            finishing = high - low <= BRACKET_WIDTH
+            asked |= finishing
+        if np.count_nonzero(asked):
+            at = np.flatnonzero(asked)
+            r = mid[at]
+            value = _log_tails(model, r)
+            gap = value - target[at]
+            moves_right = gap > 0.0
+            right[at] = moves_right
+            left[at] = ~moves_right  # NaN moves left, as in plain bisection
+            if error is not None:
+                up, down = _certifies(gap, value, error)
+                goes_right[at] = np.where(up, r, goes_right[at])
+                goes_left[at] = np.where(down, r, goes_left[at])
+            if np.count_nonzero(finishing):
+                # A level whose bracket is narrow enough takes mid as its root.
+                done = finishing[at]
+                for k, g in zip(at[done].tolist(), gap[done].tolist()):
+                    results[live[k]] = QuantileResult(
+                        p=levels[live[k]], r=float(mid[k]),
+                        bracket=(float(low[k]), float(high[k])), residual=g, iterations=step)
+                keep = ~finishing
+                live = [i for i, kept in zip(live, keep.tolist()) if kept]
+                low, high, target, mid, right, left, goes_right, goes_left = (
+                    a[keep] for a in (low, high, target, mid, right, left, goes_right, goes_left))
+        np.copyto(low, mid, where=right)
+        np.copyto(high, mid, where=left)
         step += 1
         if step > 2000 and live:
             raise BracketError("bisection failed to shrink the bracket")
     return results
 
 
-def _log_tails(model: GainModel, r: np.ndarray) -> np.ndarray:
-    """log L(e^r - 1) at each element of a nonincreasing array r.
+def _certifies(gap: np.ndarray, value: np.ndarray, error: float
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Which evaluated points certify going right, and which going left.
 
-    Equal elements sit next to each other, so one comparison of neighbours
-    finds the distinct ones, and the transform sees each once.
+    ``value`` is the computed transform at a point and ``gap`` its excess
+    over the target.  The computed transform is within error * max(1,
+    |exact|) of the exact one, which is monotone, so a gap of twice that
+    fixes the side of every mid beyond the point: right for a mid at or
+    below a point with gap >= margin, left for one at or above a point with
+    gap <= -margin.
+    """
+    margin = 2.0 * error * np.maximum(-value, 1.0)
+    return gap >= margin, gap <= -margin
+
+
+def _certified_points(model: GainModel, error: float | None, target: np.ndarray,
+                      low: np.ndarray, high: np.ndarray, low_value: np.ndarray,
+                      high_value: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Certified points (goes_right, goes_left) of each level before bisecting.
+
+    Without a stated error bound there are none: -inf and inf.  With one, a
+    few lockstep secant steps close in on each root from its doubled
+    bracket, and one pair of probes is evaluated just past the estimated
+    root on either side.  The secant solves log(-log L) = log(-target) in
+    the variable u = log(e^r - 1), where all four built-in laws are close to
+    linear, and stays inside the bracket.  The bracket's ends, the secant's
+    points and the probes are all certified where they can be.
+    """
+    if error is None:
+        return np.full(target.size, -np.inf), np.full(target.size, np.inf)
+    floor = np.maximum(low, sys.float_info.min)  # e^r - 1 must be positive
+
+    def inside(u):
+        # r of u, in the bracket; fmax and fmin also send NaN there.
+        return np.fmin(np.fmax(np.log1p(np.exp(u)), floor), high)
+
+    points, values = [low, high], [low_value, high_value]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        size = np.log(-target)
+        # The last two points of each level, as u and the residual f in
+        # log(-log L), newest last; at r = 0 both are -inf.
+        u0, f0 = np.log(np.expm1(low)), np.log(-low_value) - size
+        u1, f1 = np.log(np.expm1(high)), np.log(-high_value) - size
+        slope = np.ones(target.size)  # where no secant has a positive slope yet
+        # A level stops once its residual is within one stated error: then
+        # the probes certify the root closely.  One that never gets there
+        # stops with the others after _SECANT_STEPS.
+        close = error / np.minimum(-target, 1.0)
+        for _ in range(_SECANT_STEPS):
+            going = np.abs(f1) > close
+            if not going.any():
+                break
+            step = (f1 - f0) / (u1 - u0)
+            np.copyto(slope, step, where=going & (step > 0.0) & (step < np.inf))
+            x = inside(u1 - f1 / slope)
+            value = _log_tails(model, x)
+            points.append(x)
+            values.append(value)
+            np.copyto(u0, u1, where=going)
+            np.copyto(f0, f1, where=going)
+            np.copyto(u1, np.log(np.expm1(x)), where=going)
+            np.copyto(f1, np.log(-value) - size, where=going)
+        # The probes go a little past the certificate margin either side.
+        u_root = u1 - f1 / slope
+        shift = _PROBE_MARGIN * error * np.maximum(-target, 1.0) / -target
+        probes = [inside(u_root + np.log1p(-shift) / slope),
+                  inside(u_root + np.log1p(shift) / slope)]
+    value = _log_tails(model, np.concatenate(probes))
+    points += probes
+    values += np.split(value, 2)
+    r, value = np.array(points), np.array(values)
+    up, down = _certifies(value - target, value, error)
+    return np.where(up, r, -np.inf).max(axis=0), np.where(down, r, np.inf).min(axis=0)
+
+
+def _log_tails(model: GainModel, r: np.ndarray) -> np.ndarray:
+    """log L(e^r - 1) at each element of a nonempty array r, in one transform call.
+
+    A run of equal neighbours is evaluated once.  The mids of a bisection
+    step are nonincreasing, so there the transform sees each distinct one
+    once.
     """
     first = np.empty(r.size, dtype=bool)
     first[0] = True
@@ -144,18 +268,22 @@ def _log_tails(model: GainModel, r: np.ndarray) -> np.ndarray:
 
 
 def _doubled_brackets(model: GainModel, target: np.ndarray, levels: list[float],
-                      order: list[int]) -> tuple[np.ndarray, np.ndarray]:
+                      order: list[int]) -> tuple[np.ndarray, ...]:
     """Brackets [low, high] of the levels in ``order``, by doubling high from 1.
 
     Every level doubles through the same points, so each step evaluates one.
     The levels still doubling are those whose target lies below the value
-    there, a prefix of the sorted levels.
+    there, a prefix of the sorted levels.  Returns low, high and the
+    transform's value at each; at low = 0 that value is 0.
     """
     low = np.zeros(len(levels))
     high = np.ones(len(levels))
+    low_value = np.zeros(len(levels))
+    high_value = np.empty(len(levels))
     point, doubling = 1.0, len(levels)
     while doubling:
         value = _log_tails(model, np.array([point]))[0]
+        stopped = doubling
         doubling = int(np.count_nonzero(target[:doubling] < value))
         if doubling and point == _R_MAX:
             p = levels[min(order[:doubling])]
@@ -163,10 +291,12 @@ def _doubled_brackets(model: GainModel, target: np.ndarray, levels: list[float],
                 f"no bracket for p = {p:g}: the quantile lies beyond r = {_R_MAX!r}, "
                 "where e^r - 1 overflows a double"
             )
+        high_value[doubling:stopped] = value
         low[:doubling] = point
+        low_value[:doubling] = value
         point = min(2.0 * point, _R_MAX)
         high[:doubling] = point
-    return low, high
+    return low, high, low_value, high_value
 
 
 def tail_probability(model: GainModel, r: float) -> float:

@@ -1,19 +1,25 @@
-"""Exact assignment oracles that share no code with the production solver.
+"""Reference implementations that the production code is checked against.
 
 The brute-force enumerator checks small instances permutation by
-permutation; the LP duals certify larger ones by weak duality.
+permutation; the LP duals certify larger ones by weak duality.  The
+lockstep bisection is the quantile solver that evaluates every midpoint,
+the reference for the certified one in ``logassign.quantile``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
 from logassign.matching import Assignment, as_cost_matrix
+from logassign.quantile import BRACKET_WIDTH, BracketError, QuantileResult
+
+_R_MAX = math.log(sys.float_info.max)
 
 MAX_BRUTE_FORCE_SIZE = 10
 
@@ -67,3 +73,54 @@ def lp_duals(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     )
     assert result.status == 0, result.message
     return result.x[:n], result.x[n:]
+
+
+def lockstep_bisection(model, levels) -> list[QuantileResult]:
+    """``tail_quantiles`` as plain lockstep bisection, evaluating every midpoint.
+
+    The levels, sorted by p, double a bracket from [0, 1] and then bisect it
+    to ``BRACKET_WIDTH`` together; each step evaluates the transform once
+    at every distinct point the levels ask for.  The production solver must
+    return exactly these results, with fewer transform calls.
+    """
+    levels = [float(p) for p in levels]
+    order = sorted(range(len(levels)), key=levels.__getitem__)
+    target = np.array([math.log(levels[k]) for k in order])
+    low = np.zeros(len(levels))
+    high = np.ones(len(levels))
+    point, doubling = 1.0, len(levels)
+    while doubling:
+        value = _distinct_log_tails(model, np.array([point]))[0]
+        doubling = int(np.count_nonzero(target[:doubling] < value))
+        if doubling and point == _R_MAX:
+            raise BracketError("no bracket below log(DBL_MAX)")
+        low[:doubling] = point
+        point = min(2.0 * point, _R_MAX)
+        high[:doubling] = point
+    results: list[QuantileResult | None] = [None] * len(levels)
+    live = order
+    step = 0
+    while live:
+        mid = 0.5 * (low + high)
+        value = _distinct_log_tails(model, mid)
+        narrowing = high - low > BRACKET_WIDTH
+        for k in np.flatnonzero(~narrowing).tolist():
+            results[live[k]] = QuantileResult(
+                p=levels[live[k]], r=float(mid[k]), bracket=(float(low[k]), float(high[k])),
+                residual=float(value[k] - target[k]), iterations=step)
+        live = [i for i, keep in zip(live, narrowing.tolist()) if keep]
+        low, high, target, mid, value = (a[narrowing] for a in (low, high, target, mid, value))
+        right = value > target
+        low = np.where(right, mid, low)
+        high = np.where(right, high, mid)
+        step += 1
+    return results
+
+
+def _distinct_log_tails(model, r: np.ndarray) -> np.ndarray:
+    """log L(e^r - 1) at each element of r, evaluating each run of equal elements once."""
+    first = np.empty(r.size, dtype=bool)
+    first[0] = True
+    np.not_equal(r[1:], r[:-1], out=first[1:])
+    rho = np.array([math.expm1(x) for x in r[first].tolist()])
+    return model._log_laplace_values(rho)[np.cumsum(first) - 1]

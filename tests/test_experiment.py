@@ -35,7 +35,7 @@ from logassign import (
     run_experiment,
     table_text,
 )
-from logassign import experiment
+from logassign import experiment, gains
 from logassign.experiment import _compensated_sum
 
 
@@ -381,6 +381,25 @@ def test_each_pool_chunk_draws_its_own_frozen_gains(tmp_path) -> None:
     draws = [line.split() for line in log.read_text().splitlines()]
     assert sorted(n for _, n in draws) == ["3", "3", "4", "4", "6", "6"]
     assert str(os.getpid()) not in {pid for pid, _ in draws}
+
+
+def test_frozen_gains_are_checked_once_per_chunk(monkeypatch) -> None:
+    checked = []
+    original = gains._checked_gains
+
+    def counted(matrix, n):
+        checked.append(n)
+        return original(matrix, n)
+
+    monkeypatch.setattr(gains, "_checked_gains", counted)
+    settings = dict(model=ParetoGain(3.0), sizes=(3, 4), replicates=5, parallelism=1)
+    run_experiment(_config(**settings, mode="quenched"))
+    # In process each size is one chunk, and its frozen matrix is checked
+    # when drawn, not again by each replicate.
+    assert checked == [3, 4]
+    checked.clear()
+    run_experiment(_config(**settings, mode="annealed"))
+    assert checked == [3] * 5 + [4] * 5
 
 
 @pytest.mark.parametrize("mode", ["annealed", "quenched"])

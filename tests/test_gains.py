@@ -230,6 +230,22 @@ def test_closed_form_transforms_match_a_40_digit_oracle(model) -> None:
         assert abs(value - reference) <= 1e-13 * max(1.0, abs(reference)), rho
 
 
+def test_only_the_four_closed_form_laws_state_an_error_bound() -> None:
+    # Ten times the 1e-13 that the oracle above holds them to.
+    for model in (ConstantGain(2.5), *_ORACLE_LAWS):
+        assert model._log_laplace_error() == 1e-12
+
+    class Halved(ExponentialGain):
+        def _log_laplace_batch(self, rho: np.ndarray) -> np.ndarray:
+            return super()._log_laplace_batch(rho / 2.0)
+
+    # A subclass may change the transform, so it states no bound of its own.
+    assert Halved()._log_laplace_error() is None
+    assert UnitGain()._log_laplace_error() is None
+    flat = DensityGain(density=lambda y: 1.0, lower=1.0, upper=2.0)
+    assert flat._log_laplace_error() is None
+
+
 # Points on every branch of each built-in transform, with the SHA-256 of the
 # little-endian doubles log_laplace gives there, sorted by rho.  exp: rho <
 # 1e-7, kve, and s = 2 sqrt(rho) >= 1e4, where 128 s s overflows from about
@@ -470,6 +486,17 @@ def test_pareto_sample_mean_matches_first_moment() -> None:
     draws = ParetoGain(3.0).sample(_rng(101), size=1_000_000)
     assert float(draws.min()) >= 1.0
     assert float(draws.mean()) == pytest.approx(2.0, abs=0.02)
+
+
+@pytest.mark.parametrize("size", [(1000, 1000), None])
+def test_exponential_draws_are_numpys_unit_exponential_bit_for_bit(size) -> None:
+    ours, numpys = _rng(17), _rng(17)
+    drawn = ExponentialGain().sample(ours, size=size)
+    expected = numpys.exponential(size=size)
+    assert type(drawn) is type(expected)
+    assert np.asarray(drawn).tobytes() == np.asarray(expected).tobytes()
+    # Both streams stop at the same place.
+    assert ours.bit_generator.random_raw(4).tolist() == numpys.bit_generator.random_raw(4).tolist()
 
 
 def test_constant_sample_consumes_no_randomness() -> None:

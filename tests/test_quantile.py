@@ -6,7 +6,9 @@ import hashlib
 import math
 import sys
 
+import numpy as np
 import pytest
+from oracles import lockstep_bisection
 
 from logassign import (
     BRACKET_WIDTH,
@@ -159,6 +161,91 @@ def test_quantile_results_keep_every_bit(spec: str) -> None:
     for q in tail_quantiles(parse_model_spec(spec), levels):
         digest.update(repr((q.p, q.r, q.bracket, q.residual, q.iterations)).encode())
     assert digest.hexdigest() == PINNED_QUANTILES[spec]
+
+
+def _solves(monkeypatch, model, levels):
+    """Results and transform calls of ``tail_quantiles`` and of plain lockstep bisection."""
+    calls = []
+    original = type(model)._log_laplace_values
+
+    def counted(self, rho):
+        calls.append(rho.size)
+        return original(self, rho)
+
+    monkeypatch.setattr(type(model), "_log_laplace_values", counted)
+    results = tail_quantiles(model, levels)
+    certified = len(calls)
+    calls.clear()
+    reference = lockstep_bisection(model, levels)
+    monkeypatch.setattr(type(model), "_log_laplace_values", original)
+    return results, certified, reference, len(calls)
+
+
+def _level_sets(model) -> dict[str, list[float]]:
+    # Log-uniform levels stop where the quantile would pass r = 709.
+    lowest = max(-700.0, model.log_laplace(math.expm1(709.0)))
+    return {
+        "1/n": [1.0 / n for n in range(2, 5001)],
+        "log-uniform": np.exp(np.random.default_rng(5).uniform(lowest, 0.0, 2000)).tolist(),
+        "repeated": [0.3, 1e-4, 0.3, 1e-4, 1e-4, 1.0 / 3.0, 0.3],
+        "near 1": [1.0 - 2.0**-53, 1.0 - 1e-12, 1.0 - 1e-6, 0.999],
+    }
+
+
+@pytest.mark.parametrize("spec", ["constant:1e-12", "constant:1", "constant:1e223", "exp",
+                                  "uniform", "pareto:1.06", "pareto:1.5", "pareto:3",
+                                  "pareto:106"])
+def test_certified_bisection_equals_plain_bisection(spec: str, monkeypatch) -> None:
+    model = parse_model_spec(spec)
+    for name, levels in _level_sets(model).items():
+        results, calls, reference, reference_calls = _solves(monkeypatch, model, levels)
+        # Every field: the same mids, brackets, residuals and iterations.
+        assert results == reference, name
+        assert calls <= reference_calls + 2, name
+
+
+# Transform calls of one tail_quantiles call at the levels 1/n of
+# predict-grid's grids at seeds 0 and 27; plain bisection makes 39 for
+# uniform and 45 for pareto:1.5.
+GRID_CALLS = {("uniform", 0): 11, ("uniform", 27): 12,
+              ("pareto:1.5", 0): 21, ("pareto:1.5", 27): 24}
+
+
+@pytest.mark.parametrize("spec,seed", GRID_CALLS)
+def test_certified_bisection_skips_most_transform_calls(spec: str, seed: int,
+                                                        monkeypatch) -> None:
+    levels = [1.0 / n for n in [*range(16 + seed, 10_000, 200), 10_000]]
+    results, calls, reference, reference_calls = _solves(
+        monkeypatch, parse_model_spec(spec), levels)
+    assert results == reference
+    assert reference_calls == {"uniform": 39, "pareto:1.5": 45}[spec]
+    assert calls == GRID_CALLS[spec, seed]
+
+
+class Doubled(UniformGain):
+    """A built-in law with its transform overridden: it states no error bound."""
+
+    def _log_laplace_batch(self, rho):
+        return super()._log_laplace_batch(2.0 * rho)
+
+
+class Scaled(ParetoGain):
+    """A built-in law with its scalar transform overridden."""
+
+    def log_laplace(self, rho: float) -> float:
+        return 1.5 * super().log_laplace(rho)
+
+
+@pytest.mark.parametrize("model,law", [(Doubled(), UniformGain()), (Scaled(2.5), ParetoGain(2.5))],
+                         ids=["Doubled", "Scaled"])
+def test_a_subclass_that_overrides_the_transform_evaluates_every_mid(model, law,
+                                                                     monkeypatch) -> None:
+    levels = [1.0 / n for n in range(2, 300)]
+    results, calls, reference, reference_calls = _solves(monkeypatch, model, levels)
+    assert results == reference
+    assert calls == reference_calls
+    # The override is what is solved, not the built-in law.
+    assert all(ours.r != theirs.r for ours, theirs in zip(results, tail_quantiles(law, levels)))
 
 
 @pytest.mark.parametrize("sizes,p", [([2, 10**12, 10**10], "1e-12"), ([10**10, 10**12], "1e-10")])
