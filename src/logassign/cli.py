@@ -209,13 +209,17 @@ def tail_check(model_spec, thresholds, samples, seed):
 @click.argument("matrix_path", type=click.Path(exists=True, dir_okay=False))
 def solve(matrix_path: str):
     rows = []
-    for line in Path(matrix_path).read_text().splitlines():
+    for number, line in enumerate(Path(matrix_path).read_text().splitlines(), 1):
         if not line.strip():
             continue
         try:
-            rows.append([float(cell) for cell in line.split(",")])
+            row = [float(cell) for cell in line.split(",")]
         except ValueError:
             raise click.UsageError(f"unparseable matrix line {line!r}") from None
+        if rows and len(row) != len(rows[0]):
+            raise click.UsageError(f"matrix line {number} {line!r} has {len(row)} entries, "
+                                   f"the first row {len(rows[0])}")
+        rows.append(row)
     result = solve_max_assignment(rows)
     click.echo(f"value {real_text(result.value)}")
     click.echo("permutation " + " ".join(str(j) for j in result.permutation))

@@ -200,13 +200,17 @@ def test_knife_edge_and_large_size_bytes_are_pinned() -> None:
     )
 
 
-# SHA-256 of the predict-grid benchmark reports at seeds 0-31, for uniform
-# and pareto:1.5, as the benchmark records them; this test only reads the
-# file.  Seed 27 holds the Pareto knife edge at n = 5243.
-_PREDICT_GRID_DIGESTS = {
-    int(seed): tuple(digests) for seed, digests in json.loads(
-        (Path(__file__).parents[1] / "perfbench" / "digests.json").read_text())["predict-grid"].items()
+# SHA-256 of every benchmark report at seeds 0-31, as the benchmark records
+# them; these tests only read the file.  Each workload maps a seed to the
+# digests of its commands' reports.
+_RECORDED_DIGESTS = {
+    workload: {int(seed): tuple(digests) for seed, digests in by_seed.items()}
+    for workload, by_seed in json.loads(
+        (Path(__file__).parents[1] / "perfbench" / "digests.json").read_text()).items()
 }
+# predict-grid holds uniform then pareto:1.5; seed 27 holds the Pareto knife
+# edge at n = 5243.
+_PREDICT_GRID_DIGESTS = _RECORDED_DIGESTS["predict-grid"]
 
 
 @pytest.mark.parametrize("seed", sorted(_PREDICT_GRID_DIGESTS))
@@ -217,6 +221,31 @@ def test_predict_grid_reports_keep_the_recorded_bytes(seed: int) -> None:
         result = _run("predict", model, grid)
         assert result.exit_code == 0, result.output
         assert hashlib.sha256(result.stdout.encode()).hexdigest() == expected, model
+
+
+def _simulate_argv(workload: str, seed: int, jobs: int) -> list[str]:
+    """The one command of a simulate workload of the benchmark, at ``--jobs jobs``."""
+    if workload == "sim-large":
+        return ["simulate", "exp", "--sizes", "300,600,1000", "--mode", "annealed",
+                "--jobs", str(jobs), "--replicates", "2", "--seed", str(seed)]
+    return ["simulate", "pareto:3", "--sizes", "10..200:10", "--mode", "quenched",
+            "--jobs", str(jobs), "--replicates", "10", "--seed", str(seed)]
+
+
+# The benchmark records sim-small-quenched at --jobs 2 where the machine has
+# two CPUs; the bytes do not depend on --jobs, so in process is checked at
+# every seed and the pool at two.
+@pytest.mark.parametrize("workload,seed,jobs", [
+    *(("sim-small-quenched", seed, 1) for seed in sorted(_RECORDED_DIGESTS["sim-small-quenched"])),
+    ("sim-small-quenched", 0, 2),
+    ("sim-small-quenched", 27, 2),
+    *(("sim-large", seed, 1) for seed in range(0, 32, 4)),
+])
+def test_simulate_reports_keep_the_recorded_bytes(workload: str, seed: int, jobs: int) -> None:
+    result = _run(*_simulate_argv(workload, seed, jobs))
+    assert result.exit_code == 0, result.output
+    (expected,) = _RECORDED_DIGESTS[workload][seed]
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == expected
 
 
 def test_predict_steep_pareto_matches_a_40_digit_root() -> None:
@@ -577,6 +606,26 @@ def test_solve_rejects_ragged_matrix(tmp_path) -> None:
     path = tmp_path / "ragged.csv"
     path.write_text("1,2\n3\n")
     assert _run("solve", str(path)).exit_code == 2
+    # The first line whose length differs from the first row's is named by
+    # its number in the file, blank lines included.
+    path.write_text("1,2\n\n3\n4,5,6\n")
+    result = _run("solve", str(path))
+    assert result.exit_code == 2
+    assert "matrix line 3 '3' has 1 entries, the first row 2" in result.output
+    assert "inhomogeneous" not in result.output
+
+
+def test_solve_skips_blank_lines_and_rejects_an_unparseable_one(tmp_path) -> None:
+    path = tmp_path / "matrix.csv"
+    path.write_text("\n1,2\n  \n2,1\n\n")
+    result = _run("solve", str(path))
+    assert result.exit_code == 0
+    assert result.output.splitlines() == ["value 4", "permutation 1 0"]
+    path.write_text("1,2\nx,1\n")
+    result = _run("solve", str(path))
+    assert result.exit_code == 2
+    assert "unparseable matrix line 'x,1'" in result.output
+    assert "Traceback" not in result.output
 
 
 @pytest.mark.parametrize("rows, message", [

@@ -269,6 +269,14 @@ def test_config_validation() -> None:
         _config(master_seed=-1)
     with pytest.raises(ValueError):
         _config(master_seed=2**64)
+    assert _config(sizes=(3, 2**32 - 1)).sizes == (3, 2**32 - 1)
+    with pytest.raises(ValueError, match=r"sizes must stay below 2\*\*32"):
+        _config(sizes=(3, 2**32))
+    assert _config(replicates=2**30 - 1).replicates == 2**30 - 1
+    with pytest.raises(ValueError, match=r"replicates must stay below 2\*\*30"):
+        _config(replicates=2**30)
+    with pytest.raises(ValueError, match="model must be a GainModel"):
+        _config(model="exp")
 
 
 def test_unpicklable_model_is_rejected_up_front() -> None:
@@ -708,6 +716,9 @@ def test_report_csv_round_trips_exactly() -> None:
         "predicted_numeric,predicted_asymptotic,rel_err_numeric,rel_err_asymptotic"
     )
     assert parse_report_csv(text) == report
+    # Blank lines are skipped.
+    header, *rows = text.splitlines(keepends=True)
+    assert parse_report_csv(header + "\n" + "\n".join(rows) + "\n") == report
 
 
 def test_report_csv_parser_rejects_garbage() -> None:
@@ -718,6 +729,13 @@ def test_report_csv_parser_rejects_garbage() -> None:
     text = report_csv_text(run_experiment(_config()))
     with pytest.raises(ValueError):
         parse_report_csv(text + "exp,annealed,9,6,41,1,1,1,1,1,1\n")
+    header, first = text.splitlines(keepends=True)[:2]
+    with pytest.raises(ValueError, match="malformed report line"):
+        parse_report_csv(header + "exp,annealed,9\n" + first)
+    with pytest.raises(ValueError, match="report has no data rows"):
+        parse_report_csv(header)
+    with pytest.raises(ValueError, match="report has no data rows"):
+        parse_report_csv(header + "\n\n")
     # Past the CSV reader's own limit of 131072 characters a field.
     with pytest.raises(ValueError, match="field larger than field limit"):
         parse_report_csv("x" * 200_000 + "\n")

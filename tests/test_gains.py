@@ -135,14 +135,33 @@ def test_pareto_transform_against_incomplete_gamma_oracle(alpha: float) -> None:
         assert model.log_laplace(rho) == pytest.approx(oracle, rel=1e-8, abs=1e-8)
 
 
-@pytest.mark.parametrize("alpha", [1.5, 3.0])
-def test_pareto_far_tail_is_integrated_once_per_instance(alpha: float, monkeypatch) -> None:
+def _far_tail_log(alpha: float) -> float:
+    """The far-tail log integral of pareto:<alpha>, integrated here and now."""
     a = alpha - 1.0
-    cut = alpha + 700.0
-    direct = gains._checked_log(
-        *gains._integral(lambda t: t ** (a - 1.0) * math.exp(-t), 0.0, cut),
+    return gains._checked_log(
+        *gains._integral(lambda t: t ** (a - 1.0) * math.exp(-t), 0.0, alpha + 700.0),
         "pareto gain transform",
     )
+
+
+@pytest.fixture
+def fresh_far_tails():
+    """An empty far-tail memo, for a test that patches ``gains._integral``.
+
+    It is emptied again afterwards, so no value computed under a patch
+    outlives the test.
+    """
+    gains._pareto_far_tail_log.cache_clear()
+    yield
+    gains._pareto_far_tail_log.cache_clear()
+
+
+@pytest.mark.parametrize("alpha", [1.5, 3.0])
+def test_pareto_far_tail_is_integrated_once_per_alpha(
+        alpha: float, monkeypatch, fresh_far_tails) -> None:
+    a, other = alpha - 1.0, alpha + 0.5
+    cut = alpha + 700.0
+    direct, other_direct = _far_tail_log(alpha), _far_tail_log(other)
     calls = []
     integral = gains._integral
 
@@ -156,11 +175,22 @@ def test_pareto_far_tail_is_integrated_once_per_instance(alpha: float, monkeypat
     for rho in (cut, 2.0 * cut, 1e12):
         assert model.log_laplace(rho) == math.log(a) - a * math.log(rho) + direct
     assert calls == [(0.0, cut)]
+    assert vars(model) == {"alpha": alpha}
     # Below the cut the closed form runs no quadrature.
     model.log_laplace(cut - 1.0)
     assert calls == [(0.0, cut)]
-    ParetoGain(alpha).log_laplace(1e12)
-    assert len(calls) == 2
+    # A second instance of the same law runs none either, nor does a
+    # subclass, even one that is not hashable.
+    class Unhashable(ParetoGain):
+        __hash__ = None
+
+    assert ParetoGain(alpha).log_laplace(1e12) == model.log_laplace(1e12)
+    assert Unhashable(alpha).log_laplace(1e12) == model.log_laplace(1e12)
+    assert calls == [(0.0, cut)]
+    # A different alpha runs one of its own.
+    assert ParetoGain(other).log_laplace(1e12) == (
+        math.log(other - 1.0) - (other - 1.0) * math.log(1e12) + other_direct)
+    assert calls == [(0.0, cut), (0.0, other + 700.0)]
 
 
 def test_pareto_far_tail_cache_leaves_identity_and_pickling_alone() -> None:
@@ -174,12 +204,13 @@ def test_pareto_far_tail_cache_leaves_identity_and_pickling_alone() -> None:
     assert copy.log_laplace(1e12) == model.log_laplace(1e12)
 
 
-def test_pareto_far_tail_failure_raises_when_evaluated(monkeypatch) -> None:
+def test_pareto_far_tail_failure_raises_when_evaluated(monkeypatch, fresh_far_tails) -> None:
     monkeypatch.setattr(gains, "_integral", lambda fn, lo, hi, points=None: (1.0, 1.0))
     model = ParetoGain(2.0)
     for _ in range(2):
-        with pytest.raises(QuadratureError):
+        with pytest.raises(QuadratureError, match=r"pareto:2\.0 gain transform"):
             model.log_laplace(1e6)
+    assert gains._pareto_far_tail_log.cache_info().currsize == 0
 
 
 # rho across the whole range of a double, every five decades; each law adds
@@ -446,6 +477,18 @@ def test_user_density_with_infinite_support_matches_builtin() -> None:
         assert as_density.log_laplace(rho) == pytest.approx(
             builtin.log_laplace(rho), rel=1e-7, abs=1e-7
         )
+
+
+def test_user_density_transform_holds_while_the_density_is_a_normal_double() -> None:
+    # exp(-y) is subnormal from y = 708, and the integrand peaks at sqrt(rho).
+    as_density = DensityGain(density=lambda y: math.exp(-y), lower=0.0, upper=math.inf)
+    assert as_density.log_laplace(1e5) == pytest.approx(
+        ExponentialGain().log_laplace(1e5), rel=0.0, abs=1e-9)
+    with pytest.raises(QuadratureError):
+        as_density.log_laplace(1e6)
+    # Here the quadrature of the underflowed density would converge, to a wrong value.
+    with pytest.raises(QuadratureError, match="below the normal doubles"):
+        as_density.log_laplace(4e6)
 
 
 def test_user_density_must_be_normalized() -> None:
