@@ -36,8 +36,7 @@ import numpy as np
 from . import gains as gain_laws
 from .gains import GainModel, generate_cost_matrix
 from .matching import solve_max_assignment
-# asymptotic_prediction is imported for callers that take it from here.
-from .quantile import asymptotic_prediction, prediction_table
+from .quantile import Prediction, prediction_table
 
 __all__ = [
     "ANNEALED",
@@ -101,8 +100,11 @@ class ExperimentConfig:
     parallelism: int = 1
 
     def __post_init__(self):
-        sizes = tuple(int(n) for n in self.sizes)
+        sizes = tuple(gain_laws._whole_number("size", n) for n in self.sizes)
         object.__setattr__(self, "sizes", sizes)
+        for field in ("replicates", "master_seed", "parallelism"):
+            value = gain_laws._whole_number(field, getattr(self, field))
+            object.__setattr__(self, field, value)
         if not sizes:
             raise ValueError("sizes must be nonempty")
         if any(n < 3 for n in sizes):
@@ -116,20 +118,16 @@ class ExperimentConfig:
             raise ValueError("sizes must stay below 2**32")
         if not isinstance(self.model, GainModel):
             raise ValueError("model must be a GainModel")
-        if int(self.replicates) < 2:
+        if self.replicates < 2:
             raise ValueError("need at least 2 replicates for a standard error")
-        if int(self.replicates) >= 2**30:
+        if self.replicates >= 2**30:
             raise ValueError("replicates must stay below 2**30")
-        object.__setattr__(self, "replicates", int(self.replicates))
         if self.mode not in (ANNEALED, QUENCHED):
             raise ValueError(f"mode must be {ANNEALED!r} or {QUENCHED!r}")
-        seed = int(self.master_seed)
-        if not 0 <= seed < 2**64:
+        if not 0 <= self.master_seed < 2**64:
             raise ValueError("master_seed must fit in an unsigned 64-bit integer")
-        object.__setattr__(self, "master_seed", seed)
-        if int(self.parallelism) < 1:
+        if self.parallelism < 1:
             raise ValueError("parallelism must be at least 1")
-        object.__setattr__(self, "parallelism", int(self.parallelism))
         if self.parallelism > 1:
             try:
                 pickle.dumps(self.model)
@@ -200,19 +198,19 @@ def _chunk_values(task) -> list[float]:
     return [_replicate_value((model, n, rep, master_seed, gains)) for rep in replicates]
 
 
-def _compensated_sum(values) -> float:
-    # Neumaier's variant: the correction also absorbs the case where the
-    # incoming term dominates the running total.
-    total = 0.0
-    correction = 0.0
-    for x in values:
-        candidate = total + x
-        if abs(total) >= abs(x):
-            correction += (total - candidate) + x
-        else:
-            correction += (x - candidate) + total
-        total = candidate
-    return total + correction
+def _report_row(prediction: Prediction, optima: list[float]) -> ReportRow:
+    """One size's report row, from that size's replicate optima.
+
+    Both sums are correctly rounded (``math.fsum``), so the row does not
+    depend on the order of the optima.
+    """
+    n, _, _, numeric, asymptotic = prediction
+    m = len(optima)
+    mean = math.fsum(optima) / m
+    spread = math.fsum((x - mean) ** 2 for x in optima)
+    std_error = math.sqrt(spread / (m - 1)) / math.sqrt(m)
+    return ReportRow(n, mean, std_error, numeric, asymptotic,
+                     abs(numeric - mean) / mean, abs(asymptotic - mean) / mean)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -227,13 +225,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     each size is split into at most ``jobs`` chunks of ``ceil(replicates /
     jobs)`` replicates, queued largest size first.  A quenched chunk draws
     its size's frozen gain matrix in the process that runs it, so the
-    parent draws none and no task carries one.  Replicate optima are read
-    back and aggregated in replicate order with compensated summation, so
-    reports do not vary with ``parallelism``.  Any replicate failure aborts
-    the run, cancels the chunks still queued, and raises the
-    :class:`ReplicateError` of the first failing (n, replicate) pair in
-    serial order.  A frozen matrix that cannot be drawn fails replicate 0
-    of its size.  A worker process that dies raises ``BrokenProcessPool``.
+    parent draws none and no task carries one.  A size's mean and spread
+    come from correctly rounded sums of its replicate optima
+    (``math.fsum``), so they depend on neither the order nor the chunks the
+    optima come back in, and reports do not vary with ``parallelism``.
+    Any replicate failure aborts the run, cancels the chunks still queued,
+    and raises the :class:`ReplicateError` of the first failing
+    (n, replicate) pair in serial order.  A frozen matrix that cannot be
+    drawn fails replicate 0 of its size.  A worker process that dies raises
+    ``BrokenProcessPool``.
     """
     m, model, sizes = config.replicates, config.model, config.sizes
     predictions = prediction_table(model, sizes)
@@ -258,37 +258,22 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             import scipy.optimize  # noqa: F401
             pool = ProcessPoolExecutor(max_workers=min(jobs, chunks))
             # map submits at once, so the whole queue stands, largest size
-            # first and cheapest chunks last.  Reading sizes back smallest
-            # first raises the first failure in serial order.
+            # first and cheapest chunks last.
             by_size = [pool.map(_chunk_values, size_chunks(n))
                        for n in reversed(sizes)][::-1]
-        optima = [value for results in by_size for values in results for value in values]
+        # Sizes are read back smallest first only so that the first failure
+        # raised is the first in serial order; the sums need no order.
+        rows = tuple(_report_row(prediction, [x for values in results for x in values])
+                     for prediction, results in zip(predictions, by_size))
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-    rows = []
-    for i, (n, _, _, numeric, asymptotic) in enumerate(predictions):
-        values = optima[i * m : (i + 1) * m]
-        mean = _compensated_sum(values) / m
-        spread = _compensated_sum([(x - mean) ** 2 for x in values])
-        std_error = math.sqrt(spread / (m - 1)) / math.sqrt(m)
-        rows.append(
-            ReportRow(
-                n=n,
-                empirical_mean=mean,
-                std_error=std_error,
-                predicted_numeric=numeric,
-                predicted_asymptotic=asymptotic,
-                rel_err_numeric=abs(numeric - mean) / mean,
-                rel_err_asymptotic=abs(asymptotic - mean) / mean,
-            )
-        )
     return ExperimentReport(
         model=model.spec,
         mode=config.mode,
         replicates=m,
         master_seed=config.master_seed,
-        rows=tuple(rows),
+        rows=rows,
     )
 
 

@@ -22,7 +22,7 @@ peak search imports ``scipy.optimize``, when first called.  So ``predict``
 and ``tail-check`` of the built-in laws load neither, except that
 ``pareto:<alpha>`` loads ``scipy.integrate``, and with it
 ``scipy.optimize``, when it first reaches its far tail, rho >= alpha + 700,
-until a closed form replaces that quadrature (ROADMAP item 2).
+until the incomplete-gamma branch serves that tail too (ROADMAP item 2).
 ``simulate`` and ``solve`` load ``scipy.optimize`` for the solver in
 ``matching``.
 """
@@ -620,6 +620,23 @@ class DensityGain(GainModel):
 _CLOSED_FORM_LAWS = (ConstantGain, ExponentialGain, UniformGain, ParetoGain)
 
 
+def _whole_number(name: str, value) -> int:
+    """``value`` as an int, if it is a whole number of any numeric type.
+
+    Raises:
+        ValueError: naming ``name`` and ``value``, for a value that
+            ``int`` would truncate or that is no number at all.
+    """
+    try:
+        whole = int(value)
+        exact = bool(whole == value)
+    except (TypeError, ValueError, OverflowError):
+        exact = False
+    if not exact:
+        raise ValueError(f"{name} must be a whole number, not {value!r}")
+    return whole
+
+
 def _checked_gains(gains, n: int) -> np.ndarray:
     """``gains`` as a float array, if it is an n x n matrix of positive finite reals."""
     gains = np.asarray(gains, dtype=float)
@@ -671,7 +688,7 @@ def generate_cost_matrix(
     gains must form an n x n matrix of positive finite reals, else
     ValueError; they are never written to.
     """
-    n = int(n)
+    n = _whole_number("matrix order n", n)
     if n < 1:
         raise ValueError("matrix order n must be at least 1")
     if gain_matrix is None:

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gains import GainModel, _elementwise
+from .gains import GainModel, _elementwise, _whole_number
 
 __all__ = [
     "BRACKET_WIDTH",
@@ -335,13 +335,13 @@ def prediction_table(model: GainModel, sizes: Iterable[int]) -> list[Prediction]
     exp(-e), the growth law n >= 3.
 
     Raises:
-        ValueError: unless 2 <= n < 2**53 for every size, checked before
-            any solve.  From 2**53 on a size is no longer an exact float,
-            and 1/n or n * q(1/n) would describe some other size, or
-            overflow.
+        ValueError: unless every size is a whole number with
+            2 <= n < 2**53, checked before any solve.  From 2**53 on a size
+            is no longer an exact float, and 1/n or n * q(1/n) would
+            describe some other size, or overflow.
         BracketError, QuadratureError: from the quantile solves.
     """
-    sizes = [int(n) for n in sizes]
+    sizes = [_whole_number("size", n) for n in sizes]
     if any(not 2 <= n < 2**53 for n in sizes):
         raise ValueError("every size must be at least 2 and below 2**53")
     quantiles = tail_quantiles(model, [1.0 / n for n in sizes])
@@ -369,7 +369,7 @@ def asymptotic_prediction(model: GainModel, n: int) -> float:
     becomes a serious approximation once log log n clears 1 (n >= 16).
     A model with no closed-form law (a density) gives NaN.
     """
-    n = int(n)
+    n = _whole_number("size", n)
     if n < 3:
         raise ValueError("asymptotic prediction needs n >= 3")
     return model._growth_law(n)

@@ -36,7 +36,6 @@ from logassign import (
     table_text,
 )
 from logassign import experiment, gains
-from logassign.experiment import _compensated_sum
 
 
 @dataclass(frozen=True)
@@ -277,6 +276,32 @@ def test_config_validation() -> None:
         _config(replicates=2**30)
     with pytest.raises(ValueError, match="model must be a GainModel"):
         _config(model="exp")
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("sizes", (3, 5.5), "size must be a whole number, not 5.5"),
+     ("replicates", 6.9, "replicates must be a whole number, not 6.9"),
+     ("replicates", "6", "replicates must be a whole number, not '6'"),
+     ("master_seed", 42.5, "master_seed must be a whole number, not 42.5"),
+     ("master_seed", math.nan, "master_seed must be a whole number, not nan"),
+     ("parallelism", 1.2, "parallelism must be a whole number, not 1.2"),
+     ("parallelism", math.inf, "parallelism must be a whole number, not inf")],
+)
+def test_config_rejects_counts_that_are_not_whole_numbers(field, value, message) -> None:
+    with pytest.raises(ValueError) as info:
+        _config(**{field: value})
+    assert str(info.value) == message
+
+
+def test_whole_counts_of_any_numeric_type_run_as_ints() -> None:
+    config = _config(sizes=(3.0, np.int64(5)), replicates=np.int32(6),
+                     master_seed=np.uint64(42), parallelism=1.0)
+    assert config == _config(parallelism=1)
+    assert all(type(x) is int for x in (*config.sizes, config.replicates,
+                                        config.master_seed, config.parallelism))
+    assert report_csv_text(run_experiment(config)) == report_csv_text(
+        run_experiment(_config()))
 
 
 def test_unpicklable_model_is_rejected_up_front() -> None:
@@ -679,13 +704,23 @@ def test_a_model_defined_outside_the_package_runs_end_to_end() -> None:
     assert asymptotic_prediction(model, 100) == 100 * math.log(math.log(100))
 
 
-def test_compensated_sum_beats_naive_accumulation() -> None:
-    values = [1e16, 1.0, -1e16]
-    assert sum(values) != 1.0
-    assert _compensated_sum(values) == 1.0
-    rng = np.random.default_rng(1)
-    draws = list(rng.random(10_000) * 1e6)
-    assert _compensated_sum(draws) == pytest.approx(math.fsum(draws), abs=0.0)
+@pytest.mark.parametrize("mode", ["annealed", "quenched"])
+@pytest.mark.parametrize("parallelism", [1, 3])
+def test_each_row_is_the_fsum_mean_and_spread_of_its_own_optima(mode, parallelism) -> None:
+    # Eleven replicates on three workers make uneven chunks of 4, 4 and 3.
+    config = _config(model=ParetoGain(2.5), sizes=(4, 7), replicates=11, mode=mode,
+                     parallelism=parallelism)
+    m = config.replicates
+    for row in run_experiment(config).rows:
+        frozen = (experiment._frozen_gains(config.model, row.n, config.master_seed)
+                  if mode == "quenched" else None)
+        optima = [experiment._replicate_value((config.model, row.n, rep,
+                                               config.master_seed, frozen))
+                  for rep in range(m)]
+        mean = math.fsum(optima) / m
+        spread = math.fsum((x - mean) ** 2 for x in optima)
+        assert row.empirical_mean == mean
+        assert row.std_error == math.sqrt(spread / (m - 1)) / math.sqrt(m)
 
 
 def test_asymptotic_prediction_formulas() -> None:

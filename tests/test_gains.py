@@ -635,6 +635,10 @@ def test_quenched_gain_matrix_validation() -> None:
         generate_cost_matrix(model, 4, _rng(2), gain_matrix=bad)
     with pytest.raises(ValueError):
         generate_cost_matrix(model, 0, _rng(2))
+    with pytest.raises(ValueError, match="^matrix order n must be a whole number, not 4.5$"):
+        generate_cost_matrix(model, 4.5, _rng(2))
+    assert np.array_equal(generate_cost_matrix(model, 4.0, _rng(2)),
+                          generate_cost_matrix(model, 4, _rng(2)))
 
 
 def _tent(y: float) -> float:

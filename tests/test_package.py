@@ -27,9 +27,8 @@ def test_package_all_is_the_union_of_the_module_lists() -> None:
             assert getattr(logassign, name) is getattr(module, name)
 
 
-def test_asymptotic_prediction_resolves_in_both_its_homes() -> None:
+def test_asymptotic_prediction_resolves_in_the_package() -> None:
     assert logassign.asymptotic_prediction is quantile.asymptotic_prediction
-    assert experiment.asymptotic_prediction is quantile.asymptotic_prediction
 
 
 _HEAVY = ("scipy.integrate", "scipy.optimize")

@@ -321,6 +321,20 @@ def test_prediction_table_checks_every_size_before_solving() -> None:
     assert math.isnan(row.quantile_asymptotic) and math.isnan(row.predicted_asymptotic)
 
 
+def test_sizes_that_are_not_whole_numbers_are_rejected_not_truncated() -> None:
+    model = CountingGain(ExponentialGain())
+    for sizes in ((16.9,), (16, 32.5), ("16",)):
+        with pytest.raises(ValueError, match="^size must be a whole number, not "):
+            prediction_table(model, sizes)
+    assert model.calls == 0
+    with pytest.raises(ValueError, match="^size must be a whole number, not 16.9$"):
+        asymptotic_prediction(ExponentialGain(), 16.9)
+    # Whole numbers of any numeric type stand for their int.
+    exp = ExponentialGain()
+    assert prediction_table(exp, (16.0, np.int64(32))) == prediction_table(exp, (16, 32))
+    assert asymptotic_prediction(exp, np.uint16(16)) == asymptotic_prediction(exp, 16)
+
+
 def test_asymptotic_quantile_forms() -> None:
     p = 1e-5
     size = abs(math.log(p))
