@@ -185,11 +185,9 @@ def tail_check(model_spec, thresholds, samples, seed):
         raise click.UsageError(f"bad thresholds {thresholds!r}") from None
     if not 10_000 <= samples <= _MAX_SAMPLES:
         raise click.UsageError(f"--samples must lie between 10000 and {_MAX_SAMPLES}")
-    if not 0 <= seed < 2**64:
-        raise click.UsageError("seed must fit in an unsigned 64-bit integer")
-    # Every threshold is checked, and its probability computed, before the draw.
-    curve = [tail_probability(model, r) for r in grid]
+    # The seed, every threshold and its probability are checked before the draw.
     rng = replicate_stream(seed, 0, 0, purpose=_PURPOSE_TAIL_CHECK)
+    curve = [tail_probability(model, r) for r in grid]
     costs = sample_cost(model, rng, size=samples)
     rows = []
     for r, theoretical in zip(grid, curve):

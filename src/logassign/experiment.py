@@ -75,6 +75,12 @@ REPORT_COLUMNS = (
 _PURPOSE_REPLICATE = 0
 _PURPOSE_QUENCHED_GAINS = 1
 _PURPOSE_TAIL_CHECK = 2
+# A replicate stream's key is two 64-bit words: the master seed, and
+# n << 32 | replicate << 2 | purpose.  These are the widths of its fields.
+_SEED_BITS = 64
+_SIZE_BITS = 32
+_REPLICATE_BITS = 30
+_PURPOSE_BITS = 2
 
 
 class ReplicateError(RuntimeError):
@@ -114,18 +120,17 @@ class ExperimentConfig:
             )
         if any(b <= a for a, b in zip(sizes, sizes[1:])):
             raise ValueError("sizes must be strictly increasing")
-        if max(sizes) >= 2**32:
-            raise ValueError("sizes must stay below 2**32")
+        if max(sizes) >= 2**_SIZE_BITS:
+            raise ValueError(f"sizes must stay below 2**{_SIZE_BITS}")
         if not isinstance(self.model, GainModel):
             raise ValueError("model must be a GainModel")
         if self.replicates < 2:
             raise ValueError("need at least 2 replicates for a standard error")
-        if self.replicates >= 2**30:
-            raise ValueError("replicates must stay below 2**30")
+        if self.replicates >= 2**_REPLICATE_BITS:
+            raise ValueError(f"replicates must stay below 2**{_REPLICATE_BITS}")
         if self.mode not in (ANNEALED, QUENCHED):
             raise ValueError(f"mode must be {ANNEALED!r} or {QUENCHED!r}")
-        if not 0 <= self.master_seed < 2**64:
-            raise ValueError("master_seed must fit in an unsigned 64-bit integer")
+        _check_key_field("master_seed", self.master_seed, _SEED_BITS)
         if self.parallelism < 1:
             raise ValueError("parallelism must be at least 1")
         if self.parallelism > 1:
@@ -156,11 +161,33 @@ class ExperimentReport:
     rows: tuple[ReportRow, ...]
 
 
+def _check_key_field(name: str, value, bits: int) -> int:
+    """``value`` as an int, if it is a whole number that fits in ``bits`` unsigned bits.
+
+    Raises:
+        ValueError: naming ``name`` and ``value`` otherwise.
+    """
+    whole = gain_laws._whole_number(name, value)
+    if not 0 <= whole < 2**bits:
+        raise ValueError(f"{name} must fit in an unsigned {bits}-bit integer, not {value!r}")
+    return whole
+
+
 def replicate_stream(
     master_seed: int, n: int, replicate: int, purpose: int = _PURPOSE_REPLICATE
 ) -> np.random.Generator:
-    """Counter-based generator for one replicate, independent of run order."""
-    context = (int(n) << 32) | (int(replicate) << 2) | int(purpose)
+    """Counter-based generator for one replicate, independent of run order.
+
+    Distinct keys give distinct streams.  Raises ValueError, naming the
+    field, for a key field that is not a whole number or does not fit in
+    its bits: 64 for the seed, 32 for n, 30 for the replicate and 2 for
+    the purpose.
+    """
+    master_seed = _check_key_field("master_seed", master_seed, _SEED_BITS)
+    n = _check_key_field("n", n, _SIZE_BITS)
+    replicate = _check_key_field("replicate", replicate, _REPLICATE_BITS)
+    purpose = _check_key_field("purpose", purpose, _PURPOSE_BITS)
+    context = (n << (_REPLICATE_BITS + _PURPOSE_BITS)) | (replicate << _PURPOSE_BITS) | purpose
     key = np.array([master_seed, context], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 

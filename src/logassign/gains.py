@@ -18,7 +18,8 @@ density itself does not underflow (see ``DensityGain``).
 
 Of scipy, importing this module loads ``scipy.special`` alone.  The
 functions that integrate import ``scipy.integrate``, and ``DensityGain``'s
-peak search imports ``scipy.optimize``, when first called.  So ``predict``
+peak search imports ``scipy.optimize``, when first called; building a
+``DensityGain`` imports ``scipy.stats`` for its sampler.  So ``predict``
 and ``tail-check`` of the built-in laws load neither, except that
 ``pareto:<alpha>`` loads ``scipy.integrate``, and with it
 ``scipy.optimize``, when it first reaches its far tail, rho >= alpha + 700,
@@ -464,14 +465,36 @@ def _pareto_far_tail_log(law: ParetoGain) -> float:
 
 
 @dataclass(frozen=True)
+class _Pdf:
+    """A density as UNU.RAN calls it: ``pdf`` of a float, 0.0 off the open support.
+
+    It holds the density and its bounds, not the law, so that a pickled
+    sampler does not refer back to the law that holds it.
+    """
+
+    density: Callable[[float], float]
+    lower: float
+    upper: float
+
+    def pdf(self, y) -> float:
+        y = float(y)
+        return float(self.density(y)) if self.lower < y < self.upper else 0.0
+
+
+@dataclass(frozen=True)
 class DensityGain(GainModel):
     """Gain law given by an explicit density on (lower, upper).
 
     The density must integrate to one over its support within 1e-6.  The
-    upper bound may be inf; sampling then truncates where the remaining
-    tail mass is below 1e-9, while the transform still integrates the full
-    support.  Draws use rejection under a flat envelope built from a scan
-    of the density, so wildly peaked densities should be rescaled first.
+    upper bound may be inf.  Draws invert the distribution function
+    numerically, through scipy's PINV sampler (``NumericalInversePolynomial``,
+    Derflinger, Hörmann and Leydold, ACM TOMACS 20(4), 2010) over the full
+    support: each draw takes one uniform from the stream and is its
+    quantile within PINV's u-resolution of 1e-10.  The sampler is set up
+    once per instance, and again when a pickled instance is loaded, which
+    is milliseconds per pool task.  PINV needs a density that is positive
+    on one interval: one that is zero on an interior interval, or that PINV
+    cannot interpolate, raises ValueError at construction.
 
     The density is given on a linear scale, so the transform is accurate
     only while the density is a normal double over the bulk of the
@@ -493,6 +516,8 @@ class DensityGain(GainModel):
     spec = "density"
 
     def __post_init__(self):
+        from scipy.stats.sampling import NumericalInversePolynomial, UNURANError
+
         object.__setattr__(self, "lower", float(self.lower))
         object.__setattr__(self, "upper", float(self.upper))
         if not self.lower >= 0.0 or not self.upper > self.lower:
@@ -505,12 +530,28 @@ class DensityGain(GainModel):
             raise ValueError(
                 f"density mass over the support is {mass:.8f}, not 1 within 1e-6"
             )
+        pdf = _Pdf(self.density, self.lower, self.upper)
         grid = np.linspace(self.lower, cut, 4097)[1:-1]
-        ceiling = max(float(self.density(float(y))) for y in grid)
-        if not ceiling > 0.0:
+        heights = [pdf.pdf(y) for y in grid]
+        peak = int(np.argmax(heights))
+        if not heights[peak] > 0.0:
             raise ValueError("density must be positive somewhere on its support")
+        try:
+            sampler = NumericalInversePolynomial(pdf, center=float(grid[peak]),
+                                                 domain=(self.lower, self.upper))
+        except UNURANError as exc:
+            raise ValueError(f"density cannot be sampled by inversion: {exc}") from None
+        # PINV may take a zero of the density for the end of its support, and
+        # then loses the mass beyond it without a word.
+        for u in (0.25, 0.75):
+            below, _ = _integral(self.density, self.lower, float(sampler.ppf(u)),
+                                 "user density")
+            if abs(below - u * mass) > 1e-6:
+                raise ValueError("density cannot be sampled by inversion: it must be "
+                                 "positive on one interval, not zero inside its support")
         object.__setattr__(self, "_cut", cut)
-        object.__setattr__(self, "_ceiling", ceiling * 1.2)
+        object.__setattr__(self, "_pdf", pdf)
+        object.__setattr__(self, "_sampler", sampler)
 
     def _truncation_point(self) -> float:
         if math.isfinite(self.upper):
@@ -528,30 +569,7 @@ class DensityGain(GainModel):
         raise ValueError("density tail mass does not decay; cannot truncate support")
 
     def sample(self, rng: np.random.Generator, size=None):
-        scalar = size is None
-        want = 1 if scalar else int(np.prod(size))
-        lo, span = self.lower, self._cut - self.lower
-        out = np.empty(want)
-        have = 0
-        drawn = 0
-        budget = 5000 * want + 10000
-        while have < want:
-            batch = min(max(4 * (want - have), 64), budget - drawn)
-            if batch <= 0:
-                raise RuntimeError(
-                    f"rejection sampling exhausted {budget} proposals; "
-                    "density too peaked for a flat envelope"
-                )
-            drawn += batch
-            candidates = lo + span * rng.random(batch)
-            heights = np.array([self.density(float(y)) for y in candidates])
-            accepted = candidates[rng.random(batch) * self._ceiling < heights]
-            take = min(len(accepted), want - have)
-            out[have:have + take] = accepted[:take]
-            have += take
-        if scalar:
-            return float(out[0])
-        return out.reshape(size)
+        return self._sampler.rvs(size, random_state=rng)
 
     def _log_laplace(self, rho: float) -> float:
         lo = self.lower
@@ -586,12 +604,8 @@ class DensityGain(GainModel):
         return shift + _checked_log(total, estimate, _DENSITY_LABEL)
 
     def _log_density(self, y: float) -> float:
-        if y <= self.lower or y >= self.upper:
-            return -math.inf
-        height = float(self.density(float(y)))
-        if height <= 0.0:
-            return -math.inf
-        return math.log(height)
+        height = self._pdf.pdf(y)
+        return -math.inf if height <= 0.0 else math.log(height)
 
     def _exponent_peak(self, rho: float) -> float:
         lo = max(self.lower, 1e-12)

@@ -7,6 +7,7 @@ import math
 import gc
 import os
 import pickle
+import re
 import threading
 import weakref
 from concurrent.futures import ProcessPoolExecutor
@@ -206,6 +207,10 @@ def _flat_density(y: float) -> float:
     return 1.0
 
 
+def _tent_density(y: float) -> float:
+    return 1.0 - abs(y - 1.0)
+
+
 @pytest.fixture
 def pool_starts(monkeypatch) -> list:
     """Record every process pool that the experiment module constructs."""
@@ -325,6 +330,13 @@ def test_parallelism_does_not_change_the_report() -> None:
     settings = dict(model=ParetoGain(2.5), sizes=(4, 7), replicates=11, mode="quenched")
     serial = run_experiment(_config(**settings, parallelism=1))
     assert run_experiment(_config(**settings, parallelism=3)) == serial
+    # A user density sets its sampler up again in each worker that loads it.
+    # Its asymptotic columns are NaN, which equals no NaN, so compare bytes.
+    tent = DensityGain(density=_tent_density, lower=0.0, upper=2.0)
+    for mode in ("annealed", "quenched"):
+        settings = dict(model=tent, sizes=(4, 7), replicates=11, mode=mode)
+        serial = report_csv_text(run_experiment(_config(**settings, parallelism=1)))
+        assert report_csv_text(run_experiment(_config(**settings, parallelism=3))) == serial
 
 
 def test_one_pool_per_run_and_none_in_process(pool_starts) -> None:
@@ -569,6 +581,21 @@ def test_replicate_streams_are_distinct() -> None:
         for n in (3, 4) for rep in (0, 1, 2)
     }
     assert len(set(draws.values())) == len(draws)
+
+
+@pytest.mark.parametrize(
+    "key, message",
+    [((0, 3, 2**30), "replicate must fit in an unsigned 30-bit integer, not 1073741824"),
+     ((0, 2**40, 0), "n must fit in an unsigned 32-bit integer, not 1099511627776"),
+     ((7.8, 10.5, 1.9), "master_seed must be a whole number, not 7.8"),
+     ((7, 10.5, 1), "n must be a whole number, not 10.5"),
+     ((2**64, 3, 0), "master_seed must fit in an unsigned 64-bit integer"),
+     ((0, 3, 0, 4), "purpose must fit in an unsigned 2-bit integer, not 4")],
+)
+def test_replicate_stream_rejects_a_key_it_cannot_pack(key, message) -> None:
+    # Each key would otherwise alias another stream, or fail inside numpy.
+    with pytest.raises(ValueError, match=re.escape(message)):
+        replicate_stream(*key)
 
 
 def test_report_carries_metadata_and_monotone_sizes() -> None:

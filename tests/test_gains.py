@@ -567,11 +567,44 @@ def test_sampling_is_bit_reproducible() -> None:
 
 def test_user_density_sampling_tracks_the_density() -> None:
     tent = DensityGain(density=lambda y: 1.0 - abs(y - 1.0), lower=0.0, upper=2.0)
-    draws = tent.sample(_rng(29), size=200_000)
+    rng = _rng(29)
+    draws = tent.sample(rng, size=200_000)
     assert 0.0 < float(draws.min()) and float(draws.max()) < 2.0
     # Mass below the midpoint is exactly one half for the symmetric tent.
     assert float(np.mean(draws < 1.0)) == pytest.approx(0.5, abs=0.01)
     assert float(draws.mean()) == pytest.approx(1.0, abs=0.01)
+    # One uniform per draw: the stream goes on where 200000 uniforms leave it.
+    uniforms = _rng(29)
+    uniforms.random(200_000)
+    assert rng.random() == uniforms.random()
+
+
+def test_user_density_sampling_follows_an_unbounded_density() -> None:
+    # P(Y < t) = sqrt(t) for 0.5/sqrt(y) on (0, 1), which exceeds every
+    # height a grid of the density can see.
+    root = DensityGain(density=lambda y: 0.5 / math.sqrt(y), lower=0.0, upper=1.0)
+    draws = root.sample(_rng(31), size=200_000)
+    assert float(np.mean(draws < 0.01)) == pytest.approx(0.1, abs=0.002)
+
+
+def test_user_density_sampling_covers_an_infinite_support() -> None:
+    as_density = DensityGain(density=lambda y: math.exp(-y), lower=0.0, upper=math.inf)
+    n = 200_000
+    draws = as_density.sample(_rng(37), size=n)
+    for t in (0.5, 1.0, 2.0, 4.0, 8.0):
+        p = math.exp(-t)
+        assert abs(float(np.mean(draws >= t)) - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n)
+
+
+@pytest.mark.parametrize("left, right", [(0.5, 0.5), (0.25, 0.75)])
+def test_user_density_that_vanishes_inside_its_support_is_refused(left, right) -> None:
+    # Zero on [1, 2]: the sampler either loses the mass past the gap, or
+    # refuses to set up, depending on which side its search starts.
+    def gapped(y: float) -> float:
+        return left if 0.0 < y < 1.0 else right if 2.0 < y < 3.0 else 0.0
+
+    with pytest.raises(ValueError, match="cannot be sampled by inversion"):
+        DensityGain(density=gapped, lower=0.0, upper=3.0)
 
 
 def test_cost_sample_mean_matches_quadrature_oracle() -> None:

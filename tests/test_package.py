@@ -1,7 +1,7 @@
 """The package namespace: each public name is listed once, in its module.
 
-Also what importing the package loads: scipy's quadrature and optimizers
-only where a command runs them.
+Also what importing the package loads: scipy's quadrature, optimizers and
+samplers only where a command runs them.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ def test_asymptotic_prediction_resolves_in_the_package() -> None:
     assert logassign.asymptotic_prediction is quantile.asymptotic_prediction
 
 
-_HEAVY = ("scipy.integrate", "scipy.optimize")
+_HEAVY = ("scipy.integrate", "scipy.optimize", "scipy.stats")
 
 
 def _loaded_after(tmp_path: Path, script: str) -> list[str]:
