@@ -143,6 +143,13 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ReportRow:
+    """One size's figures.
+
+    Rows are equal, and hash alike, when they write the same record: each
+    float is compared by its :func:`real_text`, so a NaN equals a NaN, as
+    in the CSV.  Reports compare their rows this way.
+    """
+
     n: int
     empirical_mean: float
     std_error: float
@@ -150,6 +157,17 @@ class ReportRow:
     predicted_asymptotic: float
     rel_err_numeric: float
     rel_err_asymptotic: float
+
+    def _written(self) -> tuple:
+        return (self.n, *map(real_text, astuple(self)[1:]))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._written() == other._written()
+
+    def __hash__(self):
+        return hash(self._written())
 
 
 @dataclass(frozen=True)
@@ -193,11 +211,15 @@ def replicate_stream(
 
 
 def _frozen_gains(model: GainModel, n: int, master_seed: int) -> np.ndarray:
-    """Draw and check the frozen gain matrix of size n; a failure is replicate 0's."""
+    """Draw the frozen gain matrix of size n, read-only; a failed draw is replicate 0's.
+
+    The matrix is checked where its costs are drawn, by every replicate in
+    :func:`generate_cost_matrix`, so a bad one fails replicate 0 first.
+    """
     rng = replicate_stream(master_seed, n, 0, purpose=_PURPOSE_QUENCHED_GAINS)
     try:
         # Freeze a view: the array itself may be one the model hands out again.
-        gains = gain_laws._checked_gains(model.sample(rng, size=(n, n)), n).view()
+        gains = np.asarray(model.sample(rng, size=(n, n)), dtype=float).view()
     except Exception as exc:
         raise ReplicateError(n, 0, str(exc)) from exc
     gains.flags.writeable = False
@@ -208,12 +230,7 @@ def _replicate_value(args) -> float:
     model, n, replicate, master_seed, gains = args
     try:
         rng = replicate_stream(master_seed, n, replicate)
-        if gains is None:
-            matrix = generate_cost_matrix(model, n, rng)
-        else:
-            # Checked once, when frozen; generate_cost_matrix would check it again.
-            matrix = gain_laws._log_costs(gains, rng, (n, n))
-        return solve_max_assignment(matrix).value
+        return solve_max_assignment(generate_cost_matrix(model, n, rng, gains)).value
     except Exception as exc:
         raise ReplicateError(n, replicate, str(exc)) from exc
 
@@ -252,14 +269,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     each size is split into at most ``jobs`` chunks of ``ceil(replicates /
     jobs)`` replicates, queued largest size first.  A quenched chunk draws
     its size's frozen gain matrix in the process that runs it, so the
-    parent draws none and no task carries one.  A size's mean and spread
+    parent draws none and no task carries one; each replicate draws its
+    costs through :func:`~logassign.gains.generate_cost_matrix`, which
+    checks the gains it is given.  A size's mean and spread
     come from correctly rounded sums of its replicate optima
     (``math.fsum``), so they depend on neither the order nor the chunks the
     optima come back in, and reports do not vary with ``parallelism``.
     Any replicate failure aborts the run, cancels the chunks still queued,
     and raises the :class:`ReplicateError` of the first failing
     (n, replicate) pair in serial order.  A frozen matrix that cannot be
-    drawn fails replicate 0 of its size.  A worker process that dies raises
+    drawn, or is not n x n positive finite reals, fails replicate 0 of its
+    size.  A worker process that dies raises
     ``BrokenProcessPool``.
     """
     m, model, sizes = config.replicates, config.model, config.sizes

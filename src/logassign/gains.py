@@ -114,10 +114,6 @@ class ModelSpecError(ValueError):
 class QuadratureError(RuntimeError):
     """Adaptive integration could not reach the accuracy target."""
 
-    def __init__(self, message: str, achieved: float):
-        super().__init__(message)
-        self.achieved = achieved
-
 
 def _integral(fn, lo: float, hi: float, label: str = "integrand") -> tuple[float, float]:
     from scipy.integrate import quad
@@ -127,20 +123,16 @@ def _integral(fn, lo: float, hi: float, label: str = "integrand") -> tuple[float
             fn, lo, hi, epsabs=0.0, epsrel=_QUAD_EPSREL, limit=_QUAD_LIMIT, full_output=1,
         )[:2]
     except OverflowError:
-        raise QuadratureError(
-            f"quadrature for {label} failed: its integrand overflows a double", math.inf
-        ) from None
+        raise QuadratureError(f"quadrature for {label} failed: its integrand "
+                              "overflows a double") from None
     return float(value), float(estimate)
 
 
 def _checked_log(total: float, estimate: float, label: str) -> float:
     if not total > 0.0 or estimate > total * _LOG_ACCURACY:
         achieved = estimate / total if total > 0 else math.inf
-        raise QuadratureError(
-            f"quadrature for {label} reached relative error {achieved:.3e}, "
-            f"target {_LOG_ACCURACY:.0e}",
-            achieved,
-        )
+        raise QuadratureError(f"quadrature for {label} reached relative error "
+                              f"{achieved:.3e}, target {_LOG_ACCURACY:.0e}")
     return math.log(total)
 
 
@@ -578,7 +570,7 @@ class DensityGain(GainModel):
         log_peak = log_density(peak)
         if log_peak < math.log(sys.float_info.min):
             raise QuadratureError(f"quadrature for {_DENSITY_LABEL} needs the density at "
-                                  f"y = {peak:.6g}, below the normal doubles", math.inf)
+                                  f"y = {peak:.6g}, below the normal doubles")
         shift = -rho / peak + log_peak
 
         def integrand(y: float) -> float:
@@ -614,7 +606,7 @@ class DensityGain(GainModel):
         scores = [-rho / y + self._log_density(float(y)) for y in grid]
         k = int(np.argmax(scores))
         if scores[k] == -math.inf:
-            raise QuadratureError("density vanishes on its whole support", math.inf)
+            raise QuadratureError("density vanishes on its whole support")
         left = grid[max(k - 1, 0)]
         right = grid[min(k + 1, len(grid) - 1)]
         if right > left:
@@ -670,10 +662,11 @@ def _checked_gains(gains, n: int) -> np.ndarray:
 def _log_costs(gains, rng: np.random.Generator, size) -> np.ndarray:
     """log(1 + gains * fades), computed in the one buffer the fades are drawn into.
 
-    ``gains`` is only read: it may be frozen, or memory a model shares.
-    ``g*f == f*g`` exactly, and a unit-scale ``exponential`` is
-    ``standard_exponential``, so this equals ``np.log1p(gains *
-    rng.exponential(size=size))`` bit for bit.
+    This is the only code that turns gains into costs, so a cost has the
+    same bits whichever way it is drawn.  ``gains`` is only read: it may be
+    frozen, or memory a model shares.  ``g*f == f*g`` exactly, and a
+    unit-scale ``exponential`` is ``standard_exponential``, so this equals
+    ``np.log1p(gains * rng.exponential(size=size))`` bit for bit.
     """
     costs = rng.standard_exponential(size=size)
     np.multiply(gains, costs, out=costs)
@@ -681,11 +674,16 @@ def _log_costs(gains, rng: np.random.Generator, size) -> np.ndarray:
 
 
 def sample_cost(model: GainModel, rng: np.random.Generator, size=None):
-    """Draw link costs log(1 + g*f); gain draws precede fade draws."""
-    gain = model.sample(rng, size=size)
+    """Draw link costs log(1 + g*f), gains before fades.
+
+    A float when ``size`` is None, else an ndarray.  The float is the one
+    cost of ``size=1``, bit for bit: its gain is drawn as an array too,
+    since a law's scalar draw may round differently (Pareto's float power
+    is libm's, its array power numpy's).
+    """
     if size is None:
-        return math.log1p(gain * rng.standard_exponential())
-    return _log_costs(gain, rng, size)
+        return float(_log_costs(model.sample(rng, size=1), rng, 1)[0])
+    return _log_costs(model.sample(rng, size=size), rng, size)
 
 
 def generate_cost_matrix(
@@ -697,10 +695,12 @@ def generate_cost_matrix(
     """Cost matrix with independent entries log(1 + g_ij * f_ij).
 
     Without ``gain_matrix`` both gains and fades are drawn fresh from
-    ``rng`` (gains first).  With it, the given gains are held fixed and only
-    the fades are drawn, which is the quenched variant.  Either way the
-    gains must form an n x n matrix of positive finite reals, else
-    ValueError; they are never written to.
+    ``rng`` (gains first), as an annealed replicate draws.  With it, the
+    given gains are held fixed and only the fades are drawn, as a quenched
+    replicate draws over its size's frozen gains.  Either way the gains
+    must form an n x n matrix of positive finite reals, else ValueError;
+    they are checked at each call, by one min and one max, and never
+    written to.
     """
     n = _whole_number("matrix order n", n)
     if n < 1:

@@ -11,7 +11,7 @@ import re
 import threading
 import weakref
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -428,7 +428,7 @@ def test_each_pool_chunk_draws_its_own_frozen_gains(tmp_path) -> None:
     assert str(os.getpid()) not in {pid for pid, _ in draws}
 
 
-def test_frozen_gains_are_checked_once_per_chunk(monkeypatch) -> None:
+def test_every_replicate_checks_the_gains_of_its_costs(monkeypatch) -> None:
     checked = []
     original = gains._checked_gains
 
@@ -438,13 +438,12 @@ def test_frozen_gains_are_checked_once_per_chunk(monkeypatch) -> None:
 
     monkeypatch.setattr(gains, "_checked_gains", counted)
     settings = dict(model=ParetoGain(3.0), sizes=(3, 4), replicates=5, parallelism=1)
-    run_experiment(_config(**settings, mode="quenched"))
-    # In process each size is one chunk, and its frozen matrix is checked
-    # when drawn, not again by each replicate.
-    assert checked == [3, 4]
-    checked.clear()
-    run_experiment(_config(**settings, mode="annealed"))
-    assert checked == [3] * 5 + [4] * 5
+    for mode in ("annealed", "quenched"):
+        checked.clear()
+        run_experiment(_config(**settings, mode=mode))
+        # A quenched replicate draws through generate_cost_matrix too, so its
+        # frozen gains are checked where its costs are drawn.
+        assert checked == [3] * 5 + [4] * 5
 
 
 @pytest.mark.parametrize("mode", ["annealed", "quenched"])
@@ -781,6 +780,25 @@ def test_report_csv_round_trips_exactly() -> None:
     # Blank lines are skipped.
     header, *rows = text.splitlines(keepends=True)
     assert parse_report_csv(header + "\n" + "\n".join(rows) + "\n") == report
+
+
+@pytest.mark.parametrize("mode", ["annealed", "quenched"])
+def test_reports_are_equal_when_their_csv_is(mode: str) -> None:
+    # The tent law has no asymptotic law, so two columns are NaN, which a
+    # field-by-field float comparison would call unequal to itself.
+    config = _config(model=DensityGain(density=_tent_density, lower=0.0, upper=2.0),
+                     sizes=(3, 5), replicates=3, mode=mode)
+    report = run_experiment(config)
+    assert math.isnan(report.rows[0].predicted_asymptotic)
+    for same in (run_experiment(config), parse_report_csv(report_csv_text(report))):
+        assert same == report
+        assert hash(same) == hash(report)
+    row = report.rows[1]
+    changed = replace(row, std_error=math.nextafter(row.std_error, 0.0))
+    other = replace(report, rows=(report.rows[0], changed))
+    assert report_csv_text(other) != report_csv_text(report)
+    assert other != report
+    assert changed != row
 
 
 def test_report_csv_parser_rejects_garbage() -> None:
