@@ -262,12 +262,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     The predictions are one :func:`~logassign.quantile.prediction_table`,
     computed first, so a size that cannot be predicted fails the run before
-    any draw.  Let ``jobs = min(parallelism, os.cpu_count())``.  In process
-    (``jobs == 1``) each size is one chunk of all its replicates, and a
-    quenched run holds one frozen matrix at a time.  Otherwise all sizes go
-    to one process pool of at most as many workers as there are chunks:
-    each size is split into at most ``jobs`` chunks of ``ceil(replicates /
-    jobs)`` replicates, queued largest size first.  A quenched chunk draws
+    any draw.  Let ``jobs = min(parallelism, os.cpu_count())``.  Each size
+    is split into at most ``jobs`` chunks of ``ceil(replicates / jobs)``
+    replicates, and one expression maps the chunks of every size, largest
+    size first.  In process (``jobs == 1``) the mapper is the builtin lazy
+    ``map``: each size is one chunk, run when its results are read, so a
+    quenched run holds one frozen matrix at a time.  Otherwise it is the
+    ``map`` of one process pool of at most as many workers as there are
+    chunks, which queues them all at once.  A quenched chunk draws
     its size's frozen gain matrix in the process that runs it, so the
     parent draws none and no task carries one; each replicate draws its
     costs through :func:`~logassign.gains.generate_cost_matrix`, which
@@ -292,11 +294,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         return [(model, n, range(m)[start : start + chunk], config.master_seed,
                  config.mode == QUENCHED) for start in range(0, m, chunk)]
 
-    pool = None
+    pool, mapper = None, map
     try:
-        if jobs == 1:
-            by_size = [map(_chunk_values, size_chunks(n)) for n in sizes]
-        else:
+        if jobs > 1:
             # One chunk per worker and size, and no worker without a chunk.
             chunks = len(sizes) * math.ceil(m / chunk)
             # solve_max_assignment imports scipy.optimize on first use.  Import
@@ -304,10 +304,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             # than each paying the import, in time and in private memory.
             import scipy.optimize  # noqa: F401
             pool = ProcessPoolExecutor(max_workers=min(jobs, chunks))
-            # map submits at once, so the whole queue stands, largest size
-            # first and cheapest chunks last.
-            by_size = [pool.map(_chunk_values, size_chunks(n))
-                       for n in reversed(sizes)][::-1]
+            mapper = pool.map
+        # The pool's map submits at once, so the whole queue stands, largest
+        # size first and cheapest chunks last.  The builtin map is lazy and
+        # runs each size's chunk only as it is read back.
+        by_size = [mapper(_chunk_values, size_chunks(n)) for n in reversed(sizes)][::-1]
         # Sizes are read back smallest first only so that the first failure
         # raised is the first in serial order; the sums need no order.
         rows = tuple(_report_row(prediction, [x for values in results for x in values])

@@ -33,7 +33,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -498,7 +498,10 @@ class DensityGain(GainModel):
     ``sqrt(rho)``: the log transform stays within 3e-13 of
     ``ExponentialGain``'s up to rho = 3.6e5 (r = log(1 + rho) = 12.8),
     within 1.1e-7 up to r = 12.94, and raises from r = 12.95 (rho = 4.2e5)
-    on.
+    on.  The transform also raises ``QuadratureError`` where the integral
+    on one side of the peak comes out exactly 0, its nodes having all
+    missed the mass beside the peak, and where the log transform comes out
+    above 1e-9: either value would be wrong.
     """
 
     density: Callable[[float], float]
@@ -564,7 +567,6 @@ class DensityGain(GainModel):
         return self._sampler.rvs(size, random_state=rng)
 
     def _log_laplace(self, rho: float) -> float:
-        lo = self.lower
         log_density = self._log_density
         peak = self._exponent_peak(rho)
         log_peak = log_density(peak)
@@ -579,21 +581,27 @@ class DensityGain(GainModel):
                 return 0.0
             return math.exp(-rho / y + lq - shift)
 
-        total = 0.0
-        estimate = 0.0
-        if peak > lo:
-            value, err = _integral(integrand, lo, peak, _DENSITY_LABEL)
-            total += value
-            estimate += err
+        pieces = [(integrand, self.lower, peak), (integrand, peak, self.upper)]
         if math.isinf(self.upper):
             # u = peak/y folds (peak, inf) onto (0, 1).
-            fn = lambda u: integrand(peak / u) * peak / (u * u)
-            value, err = _integral(fn, 0.0, 1.0, _DENSITY_LABEL)
-        else:
-            value, err = _integral(integrand, peak, self.upper, _DENSITY_LABEL)
-        total += value
-        estimate += err
-        return shift + _checked_log(total, estimate, _DENSITY_LABEL)
+            pieces[1] = (lambda u: integrand(peak / u) * peak / (u * u), 0.0, 1.0)
+        total = estimate = 0.0
+        for fn, a, b in pieces:
+            if not a < b:
+                continue
+            value, err = _integral(fn, a, b, _DENSITY_LABEL)
+            # Every piece ends at the peak, where the integrand is positive,
+            # so a piece worth exactly 0 is one whose nodes all missed its mass.
+            if value == 0.0:
+                raise QuadratureError(f"quadrature for {_DENSITY_LABEL} found no mass on "
+                                      f"one side of the integrand's peak at y = {peak:.6g}")
+            total += value
+            estimate += err
+        value = shift + _checked_log(total, estimate, _DENSITY_LABEL)
+        if value > _LOG_ACCURACY:
+            raise QuadratureError(f"quadrature for {_DENSITY_LABEL} gave log transform "
+                                  f"{value:.3e}, above 0 by more than {_LOG_ACCURACY:.0e}")
+        return value
 
     def _log_density(self, y: float) -> float:
         height = self._pdf.pdf(y)
@@ -621,9 +629,12 @@ class DensityGain(GainModel):
         return float(grid[k])
 
 
+# The built-in laws by the head of their spec, in MODEL_SPEC_GRAMMAR's order.
+_BUILTIN_LAWS = {"constant": ConstantGain, "exp": ExponentialGain, "pareto": ParetoGain,
+                 "uniform": UniformGain}
 # The laws whose transforms are held to _CLOSED_FORM_ERROR; a subclass may
 # change the transform, so the bound goes with these classes alone.
-_CLOSED_FORM_LAWS = (ConstantGain, ExponentialGain, UniformGain, ParetoGain)
+_CLOSED_FORM_LAWS = tuple(_BUILTIN_LAWS.values())
 
 
 def _whole_number(name: str, value) -> int:
@@ -717,27 +728,24 @@ def parse_model_spec(text: str) -> GainModel:
     A built-in law's ``spec`` parses back to an equal model; ``density`` and
     the specs of laws defined elsewhere do not parse.
     """
-    spec = str(text).strip().lower()
-    if spec == "exp":
-        return ExponentialGain()
-    if spec == "uniform":
-        return UniformGain()
-    head, sep, tail = spec.partition(":")
-    if sep and head in ("constant", "pareto"):
-        try:
-            parameter = float(tail)
-        except ValueError:
-            raise ModelSpecError(
-                f"bad numeric parameter {tail!r} in model spec {text!r}; "
-                f"expected {MODEL_SPEC_GRAMMAR}"
-            ) from None
-        try:
-            if head == "constant":
-                return ConstantGain(parameter)
-            return ParetoGain(parameter)
-        except ValueError as exc:
-            raise ModelSpecError(f"model spec {text!r}: {exc}") from None
-    raise ModelSpecError(
-        f"unrecognized model spec {text!r}; expected {MODEL_SPEC_GRAMMAR}"
-    )
+    head, sep, tail = str(text).strip().lower().partition(":")
+    law = _BUILTIN_LAWS.get(head)
+    # A law with a field takes its one parameter after the colon; one without takes none.
+    if law is None or bool(sep) != bool(fields(law)):
+        raise ModelSpecError(
+            f"unrecognized model spec {text!r}; expected {MODEL_SPEC_GRAMMAR}"
+        )
+    if not sep:
+        return law()
+    try:
+        parameter = float(tail)
+    except ValueError:
+        raise ModelSpecError(
+            f"bad numeric parameter {tail!r} in model spec {text!r}; "
+            f"expected {MODEL_SPEC_GRAMMAR}"
+        ) from None
+    try:
+        return law(parameter)
+    except ValueError as exc:
+        raise ModelSpecError(f"model spec {text!r}: {exc}") from None
 

@@ -271,32 +271,26 @@ def _doubled_brackets(model: GainModel, target: np.ndarray, levels: list[float],
                       order: list[int]) -> tuple[np.ndarray, ...]:
     """Brackets [low, high] of the levels in ``order``, by doubling high from 1.
 
-    Every level doubles through the same points, so each step evaluates one.
-    The levels still doubling are those whose target lies below the value
-    there, a prefix of the sorted levels.  Returns low, high and the
+    Every level doubles through the same points r = 0, 1, 2, 4, ..., up to
+    the largest r at which e^r - 1 is a double, so each step evaluates one,
+    until the smallest target no longer lies below the last value.  A
+    level's high is then the first point whose value does not exceed its
+    target, and its low the point before.  Returns low, high and the
     transform's value at each; at low = 0 that value is 0.
     """
-    low = np.zeros(len(levels))
-    high = np.ones(len(levels))
-    low_value = np.zeros(len(levels))
-    high_value = np.empty(len(levels))
-    point, doubling = 1.0, len(levels)
-    while doubling:
-        value = _log_tails(model, np.array([point]))[0]
-        stopped = doubling
-        doubling = int(np.count_nonzero(target[:doubling] < value))
-        if doubling and point == _R_MAX:
-            p = levels[min(order[:doubling])]
+    points, values = [0.0], [0.0]
+    while target[0] < values[-1]:
+        if points[-1] == _R_MAX:
+            p = levels[min(order[:np.count_nonzero(target < values[-1])])]
             raise BracketError(
                 f"no bracket for p = {p:g}: the quantile lies beyond r = {_R_MAX!r}, "
                 "where e^r - 1 overflows a double"
             )
-        high_value[doubling:stopped] = value
-        low[:doubling] = point
-        low_value[:doubling] = value
-        point = min(2.0 * point, _R_MAX)
-        high[:doubling] = point
-    return low, high, low_value, high_value
+        points.append(min(max(2.0 * points[-1], 1.0), _R_MAX))
+        values.append(_log_tails(model, np.array(points[-1:]))[0])
+    r, value = np.array(points), np.array(values)
+    high = np.argmin(target[:, None] < value, axis=1)
+    return r[high - 1], r[high], value[high - 1], value[high]
 
 
 def tail_probability(model: GainModel, r: float) -> float:

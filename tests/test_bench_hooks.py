@@ -17,7 +17,10 @@ import math
 import sys
 from pathlib import Path
 
+import pytest
+
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
+BENCHMARK = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())
 
 
 def _load(monkeypatch, name: str):
@@ -62,3 +65,20 @@ def test_a_traced_benchmark_round_keeps_its_bytes_and_reads_every_layer(
     assert set(metrics) == set(units)
     assert all(math.isfinite(value) for value in metrics.values()), metrics
     json.dumps(metrics, allow_nan=False)
+
+
+@pytest.mark.parametrize("workload", [workload["name"] for workload in BENCHMARK["workloads"]])
+def test_each_workload_keeps_its_recorded_bytes_plain_and_traced(
+        monkeypatch, tmp_path, workload: str) -> None:
+    # The benchmark's own commands at seed 3, for two CPUs, once each: the
+    # traced round runs the pool path that layertrace patches.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    run = _load(monkeypatch, "run")
+    commands = run.WORKLOADS[workload].commands(3, 2)
+    expected = run.recorded_digests(workload, 3)
+    assert expected
+    checker = run.Checker(commands, 1, expected)
+    checked = [checker.check(run.run_round(commands, 1, trace, tmp_path / "spans.jsonl"))
+               for trace in (False, True)]
+    assert checked == [True, True], checker.problems

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 import pickle
@@ -15,6 +16,7 @@ from scipy import special
 from scipy.integrate import quad
 
 from logassign import (
+    MODEL_SPEC_GRAMMAR,
     ConstantGain,
     DensityGain,
     ExponentialGain,
@@ -67,6 +69,13 @@ def test_rejection_message_names_the_grammar() -> None:
         parse_model_spec("weibull:2")
 
 
+def test_the_grammar_names_each_built_in_law_and_whether_it_takes_a_parameter() -> None:
+    alternatives = [text.strip().partition(":") for text in MODEL_SPEC_GRAMMAR.split("|")]
+    assert [head for head, _, _ in alternatives] == list(gains._BUILTIN_LAWS)
+    assert [bool(colon) for _, colon, _ in alternatives] == [
+        bool(dataclasses.fields(law)) for law in gains._BUILTIN_LAWS.values()]
+
+
 def test_spec_strings_round_trip() -> None:
     for model in (*BUILTINS, ConstantGain(0.25), ParetoGain(1.75)):
         assert parse_model_spec(model.spec) == model
@@ -96,6 +105,8 @@ def test_transform_input_validation() -> None:
     with pytest.raises(ValueError):
         model.log_laplace(math.nan)
     assert model.log_laplace(math.inf) == -math.inf
+    with pytest.raises(ValueError):
+        model.log_laplace_asymptotic(0.0)
 
 
 def test_constant_transform_closed_form() -> None:
@@ -364,6 +375,7 @@ def test_transform_survives_huge_rho_without_underflow() -> None:
 
 def test_asymptotic_form_close_at_large_rho() -> None:
     checks = [
+        (ConstantGain(2.5), 1e-15),  # exact at every rho
         (ExponentialGain(), 0.01),
         (UniformGain(), 0.01),
         (ParetoGain(2.0), 0.005),
@@ -470,6 +482,37 @@ def test_user_density_transform_against_closed_form() -> None:
         assert flat.log_laplace(rho) == pytest.approx(math.log(exact), rel=1e-8)
 
 
+# Densities with a closed-form transform: (density, lower, upper, log
+# transform of an mpmath rho).  The flat one is that of the test above.
+_DENSITIES_IN_CLOSED_FORM = {
+    "root": (lambda y: 0.5 / math.sqrt(y), 0.0, 1.0,
+             lambda mp, rho: mp.log(mp.exp(-rho) - mp.sqrt(mp.pi * rho) * mp.erfc(mp.sqrt(rho)))),
+    "flat": (lambda y: 1.0, 1.0, 2.0,
+             lambda mp, rho: mp.log(rho * ((mp.exp(-rho / 2) / (rho / 2) - mp.exp(-rho) / rho)
+                                           - (mp.e1(rho / 2) - mp.e1(rho))))),
+}
+
+
+@pytest.mark.parametrize("name,rho", [
+    *(("root", rho) for rho in (1e-14, 1e-9, 3.2e-8, 1e-3, 1.0, 1e3, 3.6e5, 1e6)),
+    *(("flat", rho) for rho in (1e-9, 1.0, 1e5, 4e6)),
+])
+def test_user_density_transform_is_right_or_raises(name: str, rho: float) -> None:
+    # Where the quadrature misses the mass beside the integrand's peak, or
+    # rounds the transform above 1, the value it would give is wrong.
+    mp = pytest.importorskip("mpmath")
+    density, lower, upper, exact = _DENSITIES_IN_CLOSED_FORM[name]
+    with mp.workdps(40):
+        reference = float(exact(mp, mp.mpf(rho)))
+    try:
+        value = DensityGain(density=density, lower=lower, upper=upper).log_laplace(rho)
+    except QuadratureError:
+        # Over this middle range the quadrature holds, so it must not raise.
+        assert not 1e-3 <= rho <= 1e3
+        return
+    assert abs(value - reference) <= 1e-9 * max(1.0, abs(reference))
+
+
 def test_user_density_with_infinite_support_matches_builtin() -> None:
     as_density = DensityGain(density=lambda y: math.exp(-y), lower=0.0, upper=math.inf)
     builtin = ExponentialGain()
@@ -496,6 +539,14 @@ def test_user_density_must_be_normalized() -> None:
         DensityGain(density=lambda y: 2.0, lower=1.0, upper=2.0)
     with pytest.raises(ValueError):
         DensityGain(density=lambda y: 1.0, lower=2.0, upper=1.0)
+
+
+def test_user_density_whose_tail_mass_does_not_decay_is_refused() -> None:
+    # 1 / (y log(y)**2) on (e, inf) has mass 1, but its tail beyond y falls
+    # only as 1 / log(y).
+    with pytest.raises(ValueError, match="tail mass does not decay"):
+        DensityGain(density=lambda y: 1.0 / (y * math.log(y) ** 2), lower=math.e,
+                    upper=math.inf)
 
 
 # --- sampling -------------------------------------------------------------
