@@ -99,11 +99,13 @@ def _piecewise(rho: np.ndarray, conditions, formulas) -> np.ndarray:
         return formulas[counts.index(rho.size)](rho)
     if not any(counts):
         return formulas[-1](rho)
-    rest = ~functools.reduce(np.logical_or, conditions)
     out = np.empty_like(rho)
-    for condition, formula in zip((*conditions, rest), formulas):
-        if condition.any():
+    for condition, count, formula in zip(conditions, counts, formulas):
+        if count:
             out[condition] = formula(rho[condition])
+    if sum(counts) < rho.size:
+        rest = ~functools.reduce(np.logical_or, conditions)
+        out[rest] = formulas[-1](rho[rest])
     return out
 
 
@@ -427,8 +429,8 @@ class ParetoGain(GainModel):
 
     def _far_tail(self, rho: np.ndarray) -> np.ndarray:
         a = self.alpha - 1.0
-        # Keyed on the plain law: a subclass shares its entry and need not be hashable.
-        return math.log(a) - a * _log(rho) + _pareto_far_tail_log(ParetoGain(self.alpha))
+        # Keyed on alpha: a subclass shares the entry and need not be hashable.
+        return math.log(a) - a * _log(rho) + _pareto_far_tail_log(self.alpha)
 
     def _log_laplace_asymptotic(self, rho: float) -> float:
         a = self.alpha - 1.0
@@ -442,18 +444,18 @@ class ParetoGain(GainModel):
 
 
 @functools.cache
-def _pareto_far_tail_log(law: ParetoGain) -> float:
+def _pareto_far_tail_log(alpha: float) -> float:
     """log of the integral of ``t**(a-1) exp(-t)``, a = alpha - 1, over (0, alpha + 700).
 
     Past t = alpha + 700 the integrand is negligible in double precision, so
-    every larger rho shares this value.  Equal laws share one entry, kept
-    for the life of the process; a failed quadrature is not cached and
-    raises again on the next call.
+    every larger rho shares this value.  Each alpha has one entry, kept for
+    the life of the process; a failed quadrature is not cached and raises
+    again on the next call.
     """
-    a = law.alpha - 1.0
-    label = f"{law.spec} gain transform"
+    a = alpha - 1.0
+    label = f"pareto:{alpha!r} gain transform"
     fn = lambda t: t ** (a - 1.0) * math.exp(-t)
-    return _checked_log(*_integral(fn, 0.0, law.alpha + 700.0, label), label)
+    return _checked_log(*_integral(fn, 0.0, alpha + 700.0, label), label)
 
 
 @dataclass(frozen=True)

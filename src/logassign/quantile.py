@@ -10,8 +10,9 @@ is the one per-size table of predictions that ``predict`` prints and that
 
 The quantiles come from bisection, whose every result is part of the report.
 For a law that states an error bound on its transform, the solver skips the
-bisection steps that the bound already decides: for the same bits, it calls
-the transform a third to a half as often on a grid of sizes.
+bisection steps that the bound already decides, jumping each level past them
+in one move: for the same bits, it calls the transform a quarter to a third
+as often on a grid of sizes.
 """
 
 from __future__ import annotations
@@ -47,6 +48,12 @@ BRACKET_WIDTH = 1e-10
 _R_MAX = math.log(sys.float_info.max)
 _DOUBLE_LOG_GUARD = math.exp(-math.e)
 _expm1 = _elementwise(math.expm1)
+# The doubled brackets up to this r, [0, 1] and [2^k, 2^(k+1)], are dyadic;
+# only the last one, [512, _R_MAX], is not.  In units of _UNIT, half the
+# widest power of two within BRACKET_WIDTH, their mids down to that width
+# are whole numbers of at most 44 bits.
+_DYADIC_TOP = 2.0 ** math.floor(math.log2(_R_MAX))
+_UNIT = 2.0 ** math.floor(math.log2(BRACKET_WIDTH)) / 2.0
 # Secant steps before bisection, at most; then the probes go this many
 # stated errors past the root, more than the 2 a certificate needs.
 _SECANT_STEPS = 8
@@ -61,9 +68,13 @@ class BracketError(RuntimeError):
 class QuantileResult:
     """Converged tail quantile with the evidence for its convergence.
 
-    ``residual`` is the defect log L(e^r - 1) - log p at the returned r and
-    stays within 1e-8; ``bracket`` is the final enclosing interval, no wider
-    than ``BRACKET_WIDTH``.
+    ``residual`` is the defect log L(e^r - 1) - log p at the returned r;
+    ``bracket`` is the final enclosing interval, no wider than
+    ``BRACKET_WIDTH``.  Nothing bounds the residual: it is below 1e-8 for
+    the built-in laws at unit scale, but the width is absolute, so a root
+    far below 1 can be off by much of its size.  ``ConstantGain(1e-12)`` at
+    p = 0.01 gives r = 2.9e-11, the mid of [0, 5.8e-11], against an exact
+    4.6e-12, with residual -24.5.
     """
 
     p: float
@@ -85,14 +96,15 @@ def tail_quantile(model: GainModel, p: float) -> QuantileResult:
 
 
 def tail_quantiles(model: GainModel, levels: Iterable[float]) -> list[QuantileResult]:
-    """Solve L(e^r - 1) = p for r by bisection, at every level p in lockstep.
+    """Solve L(e^r - 1) = p for r by bisection, at every level p in rounds.
 
     The map r -> log L(e^r - 1) is continuous and strictly decreasing from 0,
     so a bracket found by doubling r from [0, 1], up to the largest r at
-    which e^r - 1 is a double (about 709.78), is bisected to width
-    ``BRACKET_WIDTH``.  The levels, sorted by p, take these steps together,
-    and each step evaluates the transform in at most one batch, over the
-    distinct mids whose side of the root is not yet known.
+    which e^r - 1 is a double (about 709.78), is bisected until it is no
+    wider than ``BRACKET_WIDTH``; each level finishes at that step, its own
+    depth, with the step's mid as its root.  The levels, sorted by p, move
+    in rounds, and each round evaluates the transform in at most one batch,
+    over the mids whose side of the root is not yet known.
 
     A law that states an error bound E for its transform (see
     ``GainModel``) lets a level certify an evaluated point whose value lies
@@ -104,9 +116,19 @@ def tail_quantiles(model: GainModel, levels: Iterable[float]) -> list[QuantileRe
     strictly between a level's two certified points, and each level's final
     mid for its residual.  The mids it skips would have moved the bracket
     the same way, so the results, brackets, residuals and iteration counts
-    included, are those of plain bisection.  A law with no stated bound
-    evaluates every mid.  As ``model.log_laplace`` depends on rho alone, the
-    results also equal separate ``tail_quantile`` solves.
+    included, are those of plain bisection.  As ``model.log_laplace``
+    depends on rho alone, the results also equal separate ``tail_quantile``
+    solves.
+
+    Each doubled bracket but the last, [0, 1] or [2^k, 2^(k+1)], is dyadic:
+    its mids are exact, so a level in one jumps at the start of each round
+    straight to its next mid to evaluate, past every step its certified
+    points decide.  A round then evaluates every such level's mid, usually
+    two or three rounds in all.  A level in the last bracket, [512, log
+    DBL_MAX], whose mids round, takes one step per round instead, and
+    evaluates its mid only when that step is undecided.  A law with no
+    stated bound decides no step, so every level takes one step per round
+    and every mid is evaluated, as in plain lockstep bisection.
 
     Raises:
         ValueError: unless 0 < p < 1 for every level, checked before any
@@ -120,8 +142,8 @@ def tail_quantiles(model: GainModel, levels: Iterable[float]) -> list[QuantileRe
     if not levels:
         return []
     # A stable sort by p.  At a shared point a smaller p goes right whenever
-    # a larger one does, so the brackets stay in p order: the mids are
-    # nonincreasing, and equal ones sit next to each other.
+    # a larger one does, so levels at the same step keep their brackets in p
+    # order: their mids are nonincreasing, and equal ones sit side by side.
     order = sorted(range(len(levels)), key=levels.__getitem__)
     target = np.array([math.log(levels[k]) for k in order])
     low, high, low_value, high_value = _doubled_brackets(model, target, levels, order)
@@ -132,20 +154,22 @@ def tail_quantiles(model: GainModel, levels: Iterable[float]) -> list[QuantileRe
         model, error, target, low, high, low_value, high_value)
     results: list[QuantileResult | None] = [None] * len(levels)
     live = order  # the levels still bisecting, in p order
-    # Each step halves every bracket, up to a rounding far below
-    # BRACKET_WIDTH, so none is narrow enough before this step.
-    narrow_from = int(math.log2((high - low).min() / BRACKET_WIDTH)) - 1
-    finishing = np.zeros(len(live), dtype=bool)
-    step = 0
-    while live:
+    step = np.zeros(len(live), dtype=np.int64)  # each level's bisection step
+    # Only a law with certified points has steps to jump.
+    dyadic = high <= _DYADIC_TOP if error is not None else np.zeros(len(live), dtype=bool)
+    # The step at which a dyadic level's bracket is 2 units wide.
+    depth = np.frexp((high - low) / _UNIT)[1] - 2
+    for _ in range(2000):
+        if np.count_nonzero(dyadic):
+            _jump(low, high, step, depth, goes_right, goes_left, dyadic)
         mid = 0.5 * (low + high)
         right = mid <= goes_right
         left = mid >= goes_left
+        # A level finishes at the step whose bracket is narrow enough, and
+        # takes that step's mid as its root.
+        finishing = high - low <= BRACKET_WIDTH
         # Neither certificate decides: both say no, or they disagree.
-        asked = right == left
-        if step >= narrow_from:
-            finishing = high - low <= BRACKET_WIDTH
-            asked |= finishing
+        asked = (right == left) | finishing
         if np.count_nonzero(asked):
             at = np.flatnonzero(asked)
             r = mid[at]
@@ -159,22 +183,52 @@ def tail_quantiles(model: GainModel, levels: Iterable[float]) -> list[QuantileRe
                 goes_right[at] = np.where(up, r, goes_right[at])
                 goes_left[at] = np.where(down, r, goes_left[at])
             if np.count_nonzero(finishing):
-                # A level whose bracket is narrow enough takes mid as its root.
                 done = finishing[at]
-                for k, g in zip(at[done].tolist(), gap[done].tolist()):
-                    results[live[k]] = QuantileResult(
-                        p=levels[live[k]], r=float(mid[k]),
-                        bracket=(float(low[k]), float(high[k])), residual=g, iterations=step)
+                ended = at[done]
+                for k, root, lo, hi, g, steps in zip(
+                        ended.tolist(), mid[ended].tolist(), low[ended].tolist(),
+                        high[ended].tolist(), gap[done].tolist(), step[ended].tolist()):
+                    # Positional: keywords slow a frozen dataclass's __init__.
+                    results[live[k]] = QuantileResult(levels[live[k]], root, (lo, hi), g, steps)
                 keep = ~finishing
                 live = [i for i, kept in zip(live, keep.tolist()) if kept]
-                low, high, target, mid, right, left, goes_right, goes_left = (
-                    a[keep] for a in (low, high, target, mid, right, left, goes_right, goes_left))
+                if not live:
+                    return results
+                (low, high, target, mid, right, left, goes_right, goes_left, step, depth,
+                 dyadic) = (a[keep] for a in (low, high, target, mid, right, left, goes_right,
+                                              goes_left, step, depth, dyadic))
         np.copyto(low, mid, where=right)
         np.copyto(high, mid, where=left)
         step += 1
-        if step > 2000 and live:
-            raise BracketError("bisection failed to shrink the bracket")
-    return results
+    raise BracketError("bisection failed to shrink the bracket")
+
+
+def _jump(low: np.ndarray, high: np.ndarray, step: np.ndarray, depth: np.ndarray,
+          goes_right: np.ndarray, goes_left: np.ndarray, dyadic: np.ndarray) -> None:
+    """Move each dyadic level, in place, to the step of its next mid to evaluate.
+
+    That is its first mid that neither certified point decides, or else its
+    finishing mid, the one at step ``depth``.  A dyadic bracket halves
+    exactly down to its finishing width, so its ends and mids are whole
+    numbers of ``_UNIT``, and bisecting it walks the bits of a position in
+    those units.  Every mid up to position ``a`` goes right and every one
+    from ``c + 1`` on goes left, so the steps that the certified points
+    decide are the leading bits that a and c share, once both are clamped
+    into the bracket; this holds whichever of them is larger.  The next mid
+    to evaluate heads the smallest bracket holding both.  A finishing
+    bracket is two units wide.
+    """
+    lo = low / _UNIT
+    top = high / _UNIT - 1.0
+    a = np.minimum(np.maximum(np.floor(goes_right / _UNIT), lo), top).astype(np.int64)
+    c = np.minimum(np.maximum(np.ceil(goes_left / _UNIT) - 1.0, lo), top).astype(np.int64)
+    # The bracket whose mid is next is 2^bits units wide.  Levels that are
+    # not dyadic compute values they do not keep.
+    bits = np.maximum(np.frexp((a ^ c).astype(float))[1], 1)
+    start = (a >> bits << bits).astype(float)
+    np.copyto(low, start * _UNIT, where=dyadic)
+    np.copyto(high, (start + np.ldexp(1.0, bits)) * _UNIT, where=dyadic)
+    np.copyto(step, depth + 1 - bits, where=dyadic)
 
 
 def _certifies(gap: np.ndarray, value: np.ndarray, error: float
@@ -255,15 +309,15 @@ def _certified_points(model: GainModel, error: float | None, target: np.ndarray,
 def _log_tails(model: GainModel, r: np.ndarray) -> np.ndarray:
     """log L(e^r - 1) at each element of a nonempty array r, in one transform call.
 
-    A run of equal neighbours is evaluated once.  The mids of a bisection
-    step are nonincreasing, so there the transform sees each distinct one
-    once.
+    A run of equal neighbours is evaluated once.  Levels in p order at one
+    step have nonincreasing mids, so in lockstep the transform sees each
+    distinct mid once; a level that has jumped deeper can split a run, and
+    then the mid it splits is evaluated twice in the call.
     """
-    first = np.empty(r.size, dtype=bool)
-    first[0] = True
-    np.not_equal(r[1:], r[:-1], out=first[1:])
-    if np.count_nonzero(first) == first.size:
+    repeats = r[1:] == r[:-1]
+    if not np.count_nonzero(repeats):
         return model._log_laplace_values(_expm1(r))
+    first = np.concatenate(([True], ~repeats))
     return model._log_laplace_values(_expm1(r[first]))[np.cumsum(first) - 1]
 
 

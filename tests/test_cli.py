@@ -42,6 +42,27 @@ def test_parse_sizes_accepts_both_grammars() -> None:
     assert parse_sizes(" 7 ") == (7,)
 
 
+def test_parse_sizes_takes_a_range_of_up_to_a_million_sizes() -> None:
+    import click
+
+    assert len(parse_sizes("1..1000000")) == 10**6
+    assert len(parse_sizes("1..2999998:3")) == 10**6
+    for bad in ("1..1000001", "1..3000001:3"):
+        with pytest.raises(click.UsageError, match="1000001 sizes, more than the 1000000"):
+            parse_sizes(bad)
+
+
+@pytest.mark.parametrize("args", [("predict", "exp", "3..1000000000000"),
+                                  ("simulate", "exp", "--sizes", "3..1000000000000")],
+                         ids=["predict", "simulate"])
+def test_a_range_of_too_many_sizes_is_a_usage_error(args) -> None:
+    # Building these sizes would take terabytes; the count alone is refused.
+    result = _run(*args)
+    assert result.exit_code == 2
+    assert "list 999999999998 sizes, more than the 1000000 a range may list" in result.output
+    assert "Traceback" not in result.output
+
+
 @pytest.mark.parametrize("bad", ["", "a,b", "10..5:1", "10..50:0", "10:50"])
 def test_parse_sizes_rejects_malformed_text(bad: str) -> None:
     import click

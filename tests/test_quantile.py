@@ -25,6 +25,7 @@ from logassign import (
     parse_model_spec,
     predicted_max,
     prediction_table,
+    quantile,
     slow_variation_ratio,
     tail_probability,
     tail_quantile,
@@ -163,9 +164,12 @@ def test_quantile_results_keep_every_bit(spec: str) -> None:
     assert digest.hexdigest() == PINNED_QUANTILES[spec]
 
 
-def _solves(monkeypatch, model, levels):
-    """Results and transform calls of ``tail_quantiles`` and of plain lockstep bisection."""
-    calls = []
+def _solves(monkeypatch, model, levels, calls=None):
+    """Results and transform calls of ``tail_quantiles`` and of plain lockstep bisection.
+
+    Each call's size is appended to ``calls``, if given, while it is counted.
+    """
+    calls = [] if calls is None else calls
     original = type(model)._log_laplace_values
 
     def counted(self, rho):
@@ -204,22 +208,43 @@ def test_certified_bisection_equals_plain_bisection(spec: str, monkeypatch) -> N
         assert calls <= reference_calls + 2, name
 
 
-# Transform calls of one tail_quantiles call at the levels 1/n of
-# predict-grid's grids at seeds 0 and 27; plain bisection makes 39 for
-# uniform and 45 for pareto:1.5.
-GRID_CALLS = {("uniform", 0): 11, ("uniform", 27): 12,
-              ("pareto:1.5", 0): 21, ("pareto:1.5", 27): 24}
+def _grid(seed: int) -> list[float]:
+    """The levels 1/n of predict-grid's grid at ``seed``."""
+    return [1.0 / n for n in [*range(16 + seed, 10_000, 200), 10_000]]
+
+
+# Transform calls of one tail_quantiles call on predict-grid's grids at
+# seeds 0 and 27, and the bisection rounds among them; plain bisection
+# makes 39 calls for uniform and 45 for pareto:1.5.
+GRID_CALLS = {("uniform", 0): 10, ("uniform", 27): 10,
+              ("pareto:1.5", 0): 16, ("pareto:1.5", 27): 16}
+GRID_ROUNDS = {"uniform": 2, "pareto:1.5": 3}
 
 
 @pytest.mark.parametrize("spec,seed", GRID_CALLS)
 def test_certified_bisection_skips_most_transform_calls(spec: str, seed: int,
                                                         monkeypatch) -> None:
-    levels = [1.0 / n for n in [*range(16 + seed, 10_000, 200), 10_000]]
-    results, calls, reference, reference_calls = _solves(
-        monkeypatch, parse_model_spec(spec), levels)
+    model = parse_model_spec(spec)
+    before_bisection = []
+    certified_points = quantile._certified_points
+
+    def marked(*args):
+        points = certified_points(*args)
+        before_bisection.append(len(calls))
+        return points
+
+    # _solves counts the calls into this list; its length when the
+    # certified points are found splits them.
+    calls = []
+    monkeypatch.setattr(quantile, "_certified_points", marked)
+    results, count, reference, reference_calls = _solves(monkeypatch, model, _grid(seed),
+                                                         calls)
     assert results == reference
     assert reference_calls == {"uniform": 39, "pareto:1.5": 45}[spec]
-    assert calls == GRID_CALLS[spec, seed]
+    assert count == GRID_CALLS[spec, seed]
+    # Each round evaluates every dyadic level's next mid in one call.
+    (calls_before_bisection,) = before_bisection
+    assert count - calls_before_bisection == GRID_ROUNDS[spec]
 
 
 class Doubled(UniformGain):
@@ -240,12 +265,26 @@ class Scaled(ParetoGain):
                          ids=["Doubled", "Scaled"])
 def test_a_subclass_that_overrides_the_transform_evaluates_every_mid(model, law,
                                                                      monkeypatch) -> None:
-    levels = [1.0 / n for n in range(2, 300)]
-    results, calls, reference, reference_calls = _solves(monkeypatch, model, levels)
+    # It states no bound, so no mid is decided and no level jumps past one.
+    for levels in ([1.0 / n for n in range(2, 300)], _grid(0)):
+        results, calls, reference, reference_calls = _solves(monkeypatch, model, levels)
+        assert results == reference
+        assert calls == reference_calls
+        # The override is what is solved, not the built-in law.
+        assert all(ours.r != theirs.r
+                   for ours, theirs in zip(results, tail_quantiles(law, levels)))
+
+
+def test_levels_on_both_sides_of_r_512_solve_together_as_plain_bisection(monkeypatch) -> None:
+    # Roots near 506.6 and 508.9 lie in the dyadic bracket [256, 512], whose
+    # levels jump; those near 513.1 and 515.7 lie in [512, log(DBL_MAX)],
+    # whose levels step one mid at a time, in the same rounds.
+    levels = [0.999, 0.99, 0.5, 1e-4]
+    results, calls, reference, reference_calls = _solves(
+        monkeypatch, parse_model_spec("constant:1e223"), levels)
+    assert [result.bracket[1] <= 512.0 for result in results] == [True, True, False, False]
     assert results == reference
-    assert calls == reference_calls
-    # The override is what is solved, not the built-in law.
-    assert all(ours.r != theirs.r for ours, theirs in zip(results, tail_quantiles(law, levels)))
+    assert calls < reference_calls
 
 
 @pytest.mark.parametrize("sizes,p", [([2, 10**12, 10**10], "1e-12"), ([10**10, 10**12], "1e-10")])
