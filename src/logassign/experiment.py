@@ -334,7 +334,8 @@ def table_text(columns, records, fmt: str) -> str:
     """Render records, each a tuple in ``columns`` order, as CSV or JSON.
 
     CSV has a header line, then one line per record; reals carry 17 digits,
-    so they read back exactly.  JSON is a list of objects, one per record,
+    so they read back exactly.  Every other field is written and quoted as
+    the csv module writes it.  JSON is a list of objects, one per record,
     and strict: NaN, which JSON cannot carry, is written as null.
     """
     if fmt == "json":
@@ -344,12 +345,39 @@ def table_text(columns, records, fmt: str) -> str:
         return json.dumps(objects, indent=2, allow_nan=False) + "\n"
     if fmt != "csv":
         raise ValueError(f"unknown table format {fmt!r}; expected 'csv' or 'json'")
+    # One % template per record layout: %.17g for a real, which is
+    # real_text, %d for an int, and %s for any other field, which
+    # _csv_field writes first.
+    layouts = {}
+    lines = []
+    for record in (columns, *records):
+        kinds = tuple(map(type, record))
+        layout = layouts.get(kinds)
+        if layout is None:
+            fields = ["%.17g" if issubclass(kind, float) else "%d" if kind is int else None
+                      for kind in kinds]
+            layout = layouts[kinds] = (",".join(field or "%s" for field in fields) + "\n",
+                                       None in fields)
+        template, written = layout
+        if written:
+            record = tuple(x if isinstance(x, float) or type(x) is int else _csv_field(x)
+                           for x in record)
+            if record == ("",):
+                record = ('""',)  # as csv does, so the line is not blank
+        elif not isinstance(record, tuple):
+            record = tuple(record)
+        lines.append(template % record)
+    return "".join(lines)
+
+
+def _csv_field(value) -> str:
+    """A field that is neither a real nor an int, as the csv module writes it."""
+    text = "" if value is None else str(value)
+    if not any(c in text for c in ',"\r\n'):
+        return text
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows([real_text(x) if isinstance(x, float) else x for x in record]
-                     for record in records)
-    return out.getvalue()
+    csv.writer(out, lineterminator="\n").writerow((text,))
+    return out.getvalue()[:-1]
 
 
 def _report_records(report: ExperimentReport):

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gains import GainModel, _elementwise, _whole_number
+from .gains import GainModel, _elementwise, _log, _whole_number
 
 __all__ = [
     "BRACKET_WIDTH",
@@ -54,10 +54,13 @@ _expm1 = _elementwise(math.expm1)
 # are whole numbers of at most 44 bits.
 _DYADIC_TOP = 2.0 ** math.floor(math.log2(_R_MAX))
 _UNIT = 2.0 ** math.floor(math.log2(BRACKET_WIDTH)) / 2.0
+# The points that doubling brackets: r = 0, 1, 2, 4, ..., _DYADIC_TOP, _R_MAX.
+_RUNGS = (0.0, *(2.0**k for k in range(int(math.log2(_DYADIC_TOP)) + 1)), _R_MAX)
 # Secant steps before bisection, at most; then the probes go this many
 # stated errors past the root, more than the 2 a certificate needs.
 _SECANT_STEPS = 8
 _PROBE_MARGIN = 3.0
+_SIDES = np.array([[-1.0], [1.0]])  # a probe below the root, and one above
 
 
 class BracketError(RuntimeError):
@@ -141,109 +144,108 @@ def tail_quantiles(model: GainModel, levels: Iterable[float]) -> list[QuantileRe
         raise ValueError("quantile level p must lie strictly between 0 and 1")
     if not levels:
         return []
+    root, bracket, residual, iterations = _bisect(model, levels)
+    return [QuantileResult(p, r, (lo, hi), g, k) for p, r, lo, hi, g, k in zip(
+        levels, root.tolist(), *bracket.tolist(), residual.tolist(), iterations.tolist())]
+
+
+def _bisect(model: GainModel, levels: list[float]) -> tuple[np.ndarray, ...]:
+    """``tail_quantiles`` at a nonempty list of valid levels, as arrays in input order.
+
+    Returns each level's root, its final bracket as the two rows of one
+    array, its residual and its iterations.
+    """
+    count = len(levels)
     # A stable sort by p.  At a shared point a smaller p goes right whenever
     # a larger one does, so levels at the same step keep their brackets in p
     # order: their mids are nonincreasing, and equal ones sit side by side.
-    order = sorted(range(len(levels)), key=levels.__getitem__)
-    target = np.array([math.log(levels[k]) for k in order])
-    low, high, low_value, high_value = _doubled_brackets(model, target, levels, order)
+    order = np.argsort(levels, kind="stable")
+    target = _log(np.array(levels)[order])
     error = model._log_laplace_error()
+    low, high, low_value, high_value = _doubled_brackets(model, error, target, levels, order)
     # Every mid at or below ``goes_right`` moves the bracket right, and every
     # mid at or above ``goes_left`` moves it left.
     goes_right, goes_left = _certified_points(
         model, error, target, low, high, low_value, high_value)
-    results: list[QuantileResult | None] = [None] * len(levels)
-    live = order  # the levels still bisecting, in p order
-    step = np.zeros(len(live), dtype=np.int64)  # each level's bisection step
+    # An evaluated mid decides its own step alone: whatever it would certify
+    # lies outside the bracket that the step leaves, so only the points found
+    # before bisecting are ever needed.  A dyadic level jumps by their
+    # positions in units of _UNIT: up to ``right_units`` every mid goes right,
+    # and from ``left_units + 1`` on every mid goes left.
+    right_units = np.floor(goes_right / _UNIT)
+    left_units = np.ceil(goes_left / _UNIT) - 1.0
+    bracket = np.array([low, high])
+    low, high = bracket  # views: the rounds move the bracket in place
+    # Each level's bracket, mid's value and step when it finishes.
+    final, final_value = np.empty_like(bracket), np.empty(count)
+    iterations = np.empty(count, dtype=np.int64)
+    evaluated = np.empty(count)
+    live = np.ones(count, dtype=bool)  # the levels still bisecting, in p order
+    step = np.zeros(count, dtype=np.int64)  # each level's bisection step
     # Only a law with certified points has steps to jump.
-    dyadic = high <= _DYADIC_TOP if error is not None else np.zeros(len(live), dtype=bool)
+    dyadic = high <= _DYADIC_TOP if error is not None else np.zeros(count, dtype=bool)
     # The step at which a dyadic level's bracket is 2 units wide.
     depth = np.frexp((high - low) / _UNIT)[1] - 2
     for _ in range(2000):
         if np.count_nonzero(dyadic):
-            _jump(low, high, step, depth, goes_right, goes_left, dyadic)
+            _jump(low, high, step, depth, right_units, left_units, dyadic)
         mid = 0.5 * (low + high)
         right = mid <= goes_right
-        left = mid >= goes_left
         # A level finishes at the step whose bracket is narrow enough, and
-        # takes that step's mid as its root.
-        finishing = high - low <= BRACKET_WIDTH
+        # takes that step's mid as its root.  A finished level moves on
+        # unevaluated, and its moves are not kept.
+        finishing = (high - low <= BRACKET_WIDTH) & live
         # Neither certificate decides: both say no, or they disagree.
-        asked = (right == left) | finishing
+        asked = ((right == (mid >= goes_left)) | finishing) & live
         if np.count_nonzero(asked):
             at = np.flatnonzero(asked)
-            r = mid[at]
-            value = _log_tails(model, r)
-            gap = value - target[at]
-            moves_right = gap > 0.0
-            right[at] = moves_right
-            left[at] = ~moves_right  # NaN moves left, as in plain bisection
-            if error is not None:
-                up, down = _certifies(gap, value, error)
-                goes_right[at] = np.where(up, r, goes_right[at])
-                goes_left[at] = np.where(down, r, goes_left[at])
+            value = _log_tails(model, mid[at])
+            right[at] = value > target[at]  # NaN moves left, as in plain bisection
             if np.count_nonzero(finishing):
-                done = finishing[at]
-                ended = at[done]
-                for k, root, lo, hi, g, steps in zip(
-                        ended.tolist(), mid[ended].tolist(), low[ended].tolist(),
-                        high[ended].tolist(), gap[done].tolist(), step[ended].tolist()):
-                    # Positional: keywords slow a frozen dataclass's __init__.
-                    results[live[k]] = QuantileResult(levels[live[k]], root, (lo, hi), g, steps)
-                keep = ~finishing
-                live = [i for i, kept in zip(live, keep.tolist()) if kept]
-                if not live:
-                    return results
-                (low, high, target, mid, right, left, goes_right, goes_left, step, depth,
-                 dyadic) = (a[keep] for a in (low, high, target, mid, right, left, goes_right,
-                                              goes_left, step, depth, dyadic))
+                evaluated[at] = value
+                np.copyto(final, bracket, where=finishing)
+                np.copyto(final_value, evaluated, where=finishing)
+                np.copyto(iterations, step, where=finishing)
+                live &= ~finishing
+                if not np.count_nonzero(live):
+                    break
         np.copyto(low, mid, where=right)
-        np.copyto(high, mid, where=left)
+        np.copyto(high, mid, where=~right)
         step += 1
-    raise BracketError("bisection failed to shrink the bracket")
+    else:
+        raise BracketError("bisection failed to shrink the bracket")
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(count)
+    return ((0.5 * (final[0] + final[1]))[inverse], final[:, inverse],
+            (final_value - target)[inverse], iterations[inverse])
 
 
 def _jump(low: np.ndarray, high: np.ndarray, step: np.ndarray, depth: np.ndarray,
-          goes_right: np.ndarray, goes_left: np.ndarray, dyadic: np.ndarray) -> None:
+          right_units: np.ndarray, left_units: np.ndarray, dyadic: np.ndarray) -> None:
     """Move each dyadic level, in place, to the step of its next mid to evaluate.
 
     That is its first mid that neither certified point decides, or else its
     finishing mid, the one at step ``depth``.  A dyadic bracket halves
     exactly down to its finishing width, so its ends and mids are whole
     numbers of ``_UNIT``, and bisecting it walks the bits of a position in
-    those units.  Every mid up to position ``a`` goes right and every one
-    from ``c + 1`` on goes left, so the steps that the certified points
-    decide are the leading bits that a and c share, once both are clamped
-    into the bracket; this holds whichever of them is larger.  The next mid
-    to evaluate heads the smallest bracket holding both.  A finishing
-    bracket is two units wide.
+    those units.  Every mid up to position ``a``, ``right_units``, goes
+    right and every one from ``c + 1``, ``left_units + 1``, on goes left, so
+    the steps that the certified points decide are the leading bits that a
+    and c share, once both are clamped into the bracket; this holds
+    whichever of them is larger.  The next mid to evaluate heads the
+    smallest bracket holding both.  A finishing bracket is two units wide.
     """
     lo = low / _UNIT
     top = high / _UNIT - 1.0
-    a = np.minimum(np.maximum(np.floor(goes_right / _UNIT), lo), top).astype(np.int64)
-    c = np.minimum(np.maximum(np.ceil(goes_left / _UNIT) - 1.0, lo), top).astype(np.int64)
+    a = np.minimum(np.maximum(right_units, lo), top).astype(np.int64)
+    c = np.minimum(np.maximum(left_units, lo), top).astype(np.int64)
     # The bracket whose mid is next is 2^bits units wide.  Levels that are
     # not dyadic compute values they do not keep.
     bits = np.maximum(np.frexp((a ^ c).astype(float))[1], 1)
-    start = (a >> bits << bits).astype(float)
-    np.copyto(low, start * _UNIT, where=dyadic)
-    np.copyto(high, (start + np.ldexp(1.0, bits)) * _UNIT, where=dyadic)
+    start = (a >> bits << bits) * _UNIT
+    np.copyto(low, start, where=dyadic)
+    np.copyto(high, start + np.ldexp(_UNIT, bits), where=dyadic)
     np.copyto(step, depth + 1 - bits, where=dyadic)
-
-
-def _certifies(gap: np.ndarray, value: np.ndarray, error: float
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """Which evaluated points certify going right, and which going left.
-
-    ``value`` is the computed transform at a point and ``gap`` its excess
-    over the target.  The computed transform is within error * max(1,
-    |exact|) of the exact one, which is monotone, so a gap of twice that
-    fixes the side of every mid beyond the point: right for a mid at or
-    below a point with gap >= margin, left for one at or above a point with
-    gap <= -margin.
-    """
-    margin = 2.0 * error * np.maximum(-value, 1.0)
-    return gap >= margin, gap <= -margin
 
 
 def _certified_points(model: GainModel, error: float | None, target: np.ndarray,
@@ -258,6 +260,11 @@ def _certified_points(model: GainModel, error: float | None, target: np.ndarray,
     the variable u = log(e^r - 1), where all four built-in laws are close to
     linear, and stays inside the bracket.  The bracket's ends, the secant's
     points and the probes are all certified where they can be.
+
+    The computed transform is within error * max(1, |exact|) of the exact
+    one, which is monotone, so a point whose value lies twice that above
+    the target sends every mid at or below it right, and one twice that
+    below sends every mid at or above it left.
     """
     if error is None:
         return np.full(target.size, -np.inf), np.full(target.size, np.inf)
@@ -267,43 +274,43 @@ def _certified_points(model: GainModel, error: float | None, target: np.ndarray,
         # r of u, in the bracket; fmax and fmin also send NaN there.
         return np.fmin(np.fmax(np.log1p(np.exp(u)), floor), high)
 
-    points, values = [low, high], [low_value, high_value]
+    # Every point evaluated here, one row a call, and its value.
+    points = np.empty((_SECANT_STEPS + 4, target.size))
+    values = np.empty_like(points)
+    points[0], points[1], values[0], values[1] = low, high, low_value, high_value
+    rows = 2
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        size = np.log(-target)
         # The last two points of each level, as u and the residual f in
         # log(-log L), newest last; at r = 0 both are -inf.
-        u0, f0 = np.log(np.expm1(low)), np.log(-low_value) - size
-        u1, f1 = np.log(np.expm1(high)), np.log(-high_value) - size
+        u0, f0 = np.log(np.expm1(low)), np.log(low_value / target)
+        u1, f1 = np.log(np.expm1(high)), np.log(high_value / target)
         slope = np.ones(target.size)  # where no secant has a positive slope yet
-        # A level stops once its residual is within one stated error: then
-        # the probes certify the root closely.  One that never gets there
-        # stops with the others after _SECANT_STEPS.
+        # A level is done once its residual is within one stated error: then
+        # the probes certify the root closely.  From there on its slope stays,
+        # so its steps only close in further.  After _SECANT_STEPS all stop.
         close = error / np.minimum(-target, 1.0)
-        for _ in range(_SECANT_STEPS):
+        while rows < _SECANT_STEPS + 2:
             going = np.abs(f1) > close
-            if not going.any():
+            if not np.count_nonzero(going):
                 break
             step = (f1 - f0) / (u1 - u0)
             np.copyto(slope, step, where=going & (step > 0.0) & (step < np.inf))
-            x = inside(u1 - f1 / slope)
-            value = _log_tails(model, x)
-            points.append(x)
-            values.append(value)
-            np.copyto(u0, u1, where=going)
-            np.copyto(f0, f1, where=going)
-            np.copyto(u1, np.log(np.expm1(x)), where=going)
-            np.copyto(f1, np.log(-value) - size, where=going)
-        # The probes go a little past the certificate margin either side.
-        u_root = u1 - f1 / slope
-        shift = _PROBE_MARGIN * error * np.maximum(-target, 1.0) / -target
-        probes = [inside(u_root + np.log1p(-shift) / slope),
-                  inside(u_root + np.log1p(shift) / slope)]
-    value = _log_tails(model, np.concatenate(probes))
-    points += probes
-    values += np.split(value, 2)
-    r, value = np.array(points), np.array(values)
-    up, down = _certifies(value - target, value, error)
-    return np.where(up, r, -np.inf).max(axis=0), np.where(down, r, np.inf).min(axis=0)
+            points[rows] = x = inside(u1 - f1 / slope)
+            values[rows] = value = _log_tails(model, x)
+            rows += 1
+            u0, f0 = u1, f1
+            u1, f1 = np.log(np.expm1(x)), np.log(value / target)
+        # The probes go a little past the certificate margin either side, in
+        # one call: _PROBE_MARGIN stated errors in L is that many ``close``
+        # in f.
+        points[rows:rows + 2] = probes = inside(
+            u1 - f1 / slope + np.log1p(_SIDES * (_PROBE_MARGIN * close)) / slope)
+    values[rows:rows + 2] = _log_tails(model, probes.ravel()).reshape(probes.shape)
+    r, value = points[:rows + 2], values[:rows + 2]
+    gap = value - target
+    margin = 2.0 * error * np.maximum(-value, 1.0)
+    return (np.where(gap >= margin, r, -np.inf).max(axis=0),
+            np.where(gap <= -margin, r, np.inf).min(axis=0))
 
 
 def _log_tails(model: GainModel, r: np.ndarray) -> np.ndarray:
@@ -321,28 +328,45 @@ def _log_tails(model: GainModel, r: np.ndarray) -> np.ndarray:
     return model._log_laplace_values(_expm1(r[first]))[np.cumsum(first) - 1]
 
 
-def _doubled_brackets(model: GainModel, target: np.ndarray, levels: list[float],
-                      order: list[int]) -> tuple[np.ndarray, ...]:
+def _doubled_brackets(model: GainModel, error: float | None, target: np.ndarray,
+                      levels: list[float], order: list[int]) -> tuple[np.ndarray, ...]:
     """Brackets [low, high] of the levels in ``order``, by doubling high from 1.
 
-    Every level doubles through the same points r = 0, 1, 2, 4, ..., up to
-    the largest r at which e^r - 1 is a double, so each step evaluates one,
-    until the smallest target no longer lies below the last value.  A
-    level's high is then the first point whose value does not exceed its
-    target, and its low the point before.  Returns low, high and the
-    transform's value at each; at low = 0 that value is 0.
+    Every level doubles through the same rungs r = 0, 1, 2, 4, ..., up to
+    the largest r at which e^r - 1 is a double, until the smallest target no
+    longer lies below the last value.  A level's high is then the first rung
+    whose value does not exceed its target, and its low the rung before.
+    Returns low, high and the transform's value at each; at low = 0 that
+    value is 0.
+
+    A law that states an error bound and has a closed-form quantile law
+    evaluates in its first call every rung up to the first at or past twice
+    that law's guess at the smallest level, and each later rung in a call of
+    its own.  Any other law evaluates one rung a call.  The rungs past the
+    one that stops the doubling are evaluated and left unused.
     """
-    points, values = [0.0], [0.0]
+    last = 1  # the last rung of the first call
+    if error is not None:
+        try:
+            guess = 2.0 * model._quantile_law(-float(target[0]))
+        except ValueError:
+            guess = 0.0
+        while last < len(_RUNGS) - 1 and _RUNGS[last] < guess:
+            last += 1
+    values = [0.0]
     while target[0] < values[-1]:
-        if points[-1] == _R_MAX:
+        done = len(values)
+        if done == len(_RUNGS):
             p = levels[min(order[:np.count_nonzero(target < values[-1])])]
             raise BracketError(
                 f"no bracket for p = {p:g}: the quantile lies beyond r = {_R_MAX!r}, "
                 "where e^r - 1 overflows a double"
             )
-        points.append(min(max(2.0 * points[-1], 1.0), _R_MAX))
-        values.append(_log_tails(model, np.array(points[-1:]))[0])
-    r, value = np.array(points), np.array(values)
+        for value in _log_tails(model, np.array(_RUNGS[done:max(last, done) + 1])).tolist():
+            values.append(value)
+            if not target[0] < value:
+                break
+    r, value = np.array(_RUNGS[:len(values)]), np.array(values)
     high = np.argmin(target[:, None] < value, axis=1)
     return r[high - 1], r[high], value[high - 1], value[high]
 
@@ -392,17 +416,18 @@ def prediction_table(model: GainModel, sizes: Iterable[int]) -> list[Prediction]
     sizes = [_whole_number("size", n) for n in sizes]
     if any(not 2 <= n < 2**53 for n in sizes):
         raise ValueError("every size must be at least 2 and below 2**53")
-    quantiles = tail_quantiles(model, [1.0 / n for n in sizes])
-    return [Prediction(n, quantile.r, _or_nan(asymptotic_quantile, model, 1.0 / n),
-                       n * quantile.r, _or_nan(asymptotic_prediction, model, n))
-            for n, quantile in zip(sizes, quantiles)]
-
-
-def _or_nan(law, model: GainModel, x) -> float:
-    try:
-        return law(model, x)
-    except ValueError:
-        return math.nan
+    levels = [1.0 / n for n in sizes]
+    roots = _bisect(model, levels)[0].tolist() if levels else []
+    rows = []
+    for n, r in zip(sizes, roots):
+        try:
+            sharp = _sharp_quantile(model, 1.0 / n)
+        except ValueError:  # the model has no closed forms
+            sharp = None
+        growth = _growth(model, n)
+        rows.append(Prediction(n, r, math.nan if sharp is None else sharp,
+                               n * r, math.nan if growth is None else growth))
+    return rows
 
 
 def predicted_max(model: GainModel, n: int) -> float:
@@ -417,10 +442,10 @@ def asymptotic_prediction(model: GainModel, n: int) -> float:
     becomes a serious approximation once log log n clears 1 (n >= 16).
     A model with no closed-form law (a density) gives NaN.
     """
-    n = _whole_number("size", n)
-    if n < 3:
+    growth = _growth(model, _whole_number("size", n))
+    if growth is None:
         raise ValueError("asymptotic prediction needs n >= 3")
-    return model._growth_law(n)
+    return growth
 
 
 def asymptotic_quantile(model: GainModel, p: float) -> float:
@@ -430,10 +455,20 @@ def asymptotic_quantile(model: GainModel, p: float) -> float:
     above 1.  Raises ValueError outside that range, and for a model with no
     closed-form law (a density).
     """
-    p = float(p)
-    if not 0.0 < p < _DOUBLE_LOG_GUARD:
+    sharp = _sharp_quantile(model, float(p))
+    if sharp is None:
         raise ValueError("asymptotic quantile needs 0 < p < exp(-e)")
-    return model._quantile_law(-math.log(p))
+    return sharp
+
+
+# The domains of the two closed forms, for the public functions and the
+# prediction table alike: None outside them.
+def _growth(model: GainModel, n: int) -> float | None:
+    return model._growth_law(n) if n >= 3 else None
+
+
+def _sharp_quantile(model: GainModel, p: float) -> float | None:
+    return model._quantile_law(-math.log(p)) if 0.0 < p < _DOUBLE_LOG_GUARD else None
 
 
 def slow_variation_ratio(model: GainModel, p: float, scale: float) -> float:

@@ -3,11 +3,14 @@
 The brute-force enumerator checks small instances permutation by
 permutation; the LP duals certify larger ones by weak duality.  The
 lockstep bisection is the quantile solver that evaluates every midpoint,
-the reference for the certified one in ``logassign.quantile``.
+the reference for the certified one in ``logassign.quantile``.  The CSV
+table writer is the csv module's, the reference for ``table_text``.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import math
 import sys
@@ -16,6 +19,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
+from logassign.experiment import real_text
 from logassign.matching import Assignment, as_cost_matrix
 from logassign.quantile import BRACKET_WIDTH, BracketError, QuantileResult
 
@@ -124,3 +128,17 @@ def _distinct_log_tails(model, r: np.ndarray) -> np.ndarray:
     np.not_equal(r[1:], r[:-1], out=first[1:])
     rho = np.array([math.expm1(x) for x in r[first].tolist()])
     return model._log_laplace_values(rho)[np.cumsum(first) - 1]
+
+
+def csv_table_text(columns, records) -> str:
+    """``table_text(columns, records, "csv")`` through ``csv.writer``.
+
+    Every float, numpy's float64 included, goes through ``real_text``; any
+    other field is the csv module's to write and quote.
+    """
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([real_text(x) if isinstance(x, float) else x for x in record]
+                     for record in records)
+    return out.getvalue()

@@ -216,8 +216,8 @@ def _grid(seed: int) -> list[float]:
 # Transform calls of one tail_quantiles call on predict-grid's grids at
 # seeds 0 and 27, and the bisection rounds among them; plain bisection
 # makes 39 calls for uniform and 45 for pareto:1.5.
-GRID_CALLS = {("uniform", 0): 10, ("uniform", 27): 10,
-              ("pareto:1.5", 0): 16, ("pareto:1.5", 27): 16}
+GRID_CALLS = {("uniform", 0): 8, ("uniform", 27): 8,
+              ("pareto:1.5", 0): 11, ("pareto:1.5", 27): 11}
 GRID_ROUNDS = {"uniform": 2, "pareto:1.5": 3}
 
 
