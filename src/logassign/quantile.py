@@ -159,8 +159,9 @@ def _bisect(model: GainModel, levels: list[float]) -> tuple[np.ndarray, ...]:
     # A stable sort by p.  At a shared point a smaller p goes right whenever
     # a larger one does, so levels at the same step keep their brackets in p
     # order: their mids are nonincreasing, and equal ones sit side by side.
-    order = np.argsort(levels, kind="stable")
-    target = _log(np.array(levels)[order])
+    p = np.array(levels)
+    order = np.argsort(p, kind="stable")
+    target = _log(p[order])
     error = model._log_laplace_error()
     low, high, low_value, high_value = _doubled_brackets(model, error, target, levels, order)
     # Every mid at or below ``goes_right`` moves the bracket right, and every
@@ -182,13 +183,14 @@ def _bisect(model: GainModel, levels: list[float]) -> tuple[np.ndarray, ...]:
     evaluated = np.empty(count)
     live = np.ones(count, dtype=bool)  # the levels still bisecting, in p order
     step = np.zeros(count, dtype=np.int64)  # each level's bisection step
-    # Only a law with certified points has steps to jump.
+    # Only a law with certified points has steps to jump.  A dyadic level,
+    # which jumps, keeps no step count: it finishes at the step at which its
+    # bracket is 2 units wide.
     dyadic = high <= _DYADIC_TOP if error is not None else np.zeros(count, dtype=bool)
-    # The step at which a dyadic level's bracket is 2 units wide.
     depth = np.frexp((high - low) / _UNIT)[1] - 2
     for _ in range(2000):
         if np.count_nonzero(dyadic):
-            _jump(low, high, step, depth, right_units, left_units, dyadic)
+            _jump(low, high, right_units, left_units, dyadic)
         mid = 0.5 * (low + high)
         right = mid <= goes_right
         # A level finishes at the step whose bracket is narrow enough, and
@@ -214,18 +216,18 @@ def _bisect(model: GainModel, levels: list[float]) -> tuple[np.ndarray, ...]:
         step += 1
     else:
         raise BracketError("bisection failed to shrink the bracket")
-    inverse = np.empty_like(order)
-    inverse[order] = np.arange(count)
+    np.copyto(iterations, depth, where=dyadic)
+    inverse = np.argsort(order)
     return ((0.5 * (final[0] + final[1]))[inverse], final[:, inverse],
             (final_value - target)[inverse], iterations[inverse])
 
 
-def _jump(low: np.ndarray, high: np.ndarray, step: np.ndarray, depth: np.ndarray,
-          right_units: np.ndarray, left_units: np.ndarray, dyadic: np.ndarray) -> None:
-    """Move each dyadic level, in place, to the step of its next mid to evaluate.
+def _jump(low: np.ndarray, high: np.ndarray, right_units: np.ndarray,
+          left_units: np.ndarray, dyadic: np.ndarray) -> None:
+    """Move each dyadic level's bracket, in place, to that of its next mid to evaluate.
 
     That is its first mid that neither certified point decides, or else its
-    finishing mid, the one at step ``depth``.  A dyadic bracket halves
+    finishing mid, whose bracket is two units wide.  A dyadic bracket halves
     exactly down to its finishing width, so its ends and mids are whole
     numbers of ``_UNIT``, and bisecting it walks the bits of a position in
     those units.  Every mid up to position ``a``, ``right_units``, goes
@@ -233,7 +235,7 @@ def _jump(low: np.ndarray, high: np.ndarray, step: np.ndarray, depth: np.ndarray
     the steps that the certified points decide are the leading bits that a
     and c share, once both are clamped into the bracket; this holds
     whichever of them is larger.  The next mid to evaluate heads the
-    smallest bracket holding both.  A finishing bracket is two units wide.
+    smallest bracket holding both.
     """
     lo = low / _UNIT
     top = high / _UNIT - 1.0
@@ -245,7 +247,6 @@ def _jump(low: np.ndarray, high: np.ndarray, step: np.ndarray, depth: np.ndarray
     start = (a >> bits << bits) * _UNIT
     np.copyto(low, start, where=dyadic)
     np.copyto(high, start + np.ldexp(_UNIT, bits), where=dyadic)
-    np.copyto(step, depth + 1 - bits, where=dyadic)
 
 
 def _certified_points(model: GainModel, error: float | None, target: np.ndarray,
