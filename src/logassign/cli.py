@@ -42,16 +42,16 @@ from .experiment import (
 )
 from .gains import QuadratureError, parse_model_spec, sample_cost, MODEL_SPEC_GRAMMAR
 from .matching import solve_max_assignment
-from .quantile import BracketError, Prediction, prediction_table, tail_probability
+from .quantile import BracketError, Prediction, prediction_table, tail_probabilities
 
 EXIT_NUMERIC = 3
 EXIT_SIMULATION = 4
 EXIT_TAIL_CHECK = 5
 
 _MODEL_HELP = f"MODEL is a gain model spec: {MODEL_SPEC_GRAMMAR} (case-insensitive)."
-# predict takes about 30 s and 0.8 GB for 10**6 sizes (27 us and 0.7 KB a
-# size, measured on a 2-vCPU Xeon VM); a range of more is refused before
-# any size is built.
+# predict takes about 15 s and 0.7 GB for 10**6 sizes (13-17 us and 0.6-0.75
+# KB a size, measured at 2 * 10**5 sizes on a 2-vCPU Xeon VM); a range of
+# more is refused before any size is built.
 _MAX_RANGE_SIZES = 10**6
 _SIZES_HELP = (
     "SIZES is either a comma list like 10,20,50 or a range a..b:step like "
@@ -196,7 +196,7 @@ def tail_check(model_spec, thresholds, samples, seed):
         raise click.UsageError(f"--samples must lie between 10000 and {_MAX_SAMPLES}")
     # The seed, every threshold and its probability are checked before the draw.
     rng = replicate_stream(seed, 0, 0, purpose=_PURPOSE_TAIL_CHECK)
-    curve = [tail_probability(model, r) for r in grid]
+    curve = tail_probabilities(model, grid)
     costs = sample_cost(model, rng, size=samples)
     rows = []
     for r, theoretical in zip(grid, curve):

@@ -11,7 +11,7 @@ is the one per-size table of predictions that ``predict`` prints and that
 The quantiles come from bisection, whose every result is part of the report.
 For a law that states an error bound on its transform, the solver skips the
 bisection steps that the bound already decides, jumping each level past them
-in one move: for the same bits, it calls the transform a quarter to a third
+in one move: for the same bits, it calls the transform a fifth to a quarter
 as often on a grid of sizes.
 """
 
@@ -37,6 +37,7 @@ __all__ = [
     "predicted_max",
     "prediction_table",
     "slow_variation_ratio",
+    "tail_probabilities",
     "tail_probability",
     "tail_quantile",
     "tail_quantiles",
@@ -107,15 +108,19 @@ def tail_quantiles(model: GainModel, levels: Iterable[float]) -> list[QuantileRe
     wider than ``BRACKET_WIDTH``; each level finishes at that step, its own
     depth, with the step's mid as its root.  The levels, sorted by p, move
     in rounds, and each round evaluates the transform in at most one batch,
-    over the mids whose side of the root is not yet known.
+    over the mids whose side of the root is not yet known.  The doubling
+    evaluates one point a call, except that a law that states an error bound
+    and has a closed-form quantile law evaluates, in its first call, every
+    point up to twice that law's guess at the smallest level.
 
     A law that states an error bound E for its transform (see
     ``GainModel``) lets a level certify an evaluated point whose value lies
     at least 2 E max(1, |value|) above its target: every mid at or below it
     would move the bracket right.  A point that far below the target sends
     every mid at or above it left.  Before bisecting, a few secant steps and
-    a pair of probes find such points close to each root, and every point
-    evaluated later adds to them.  Bisection evaluates only the mids
+    a pair of probes find such points close to each root.  A mid that
+    bisection evaluates adds none that counts: whatever it certifies lies
+    outside the bracket its own step leaves.  Bisection evaluates only the mids
     strictly between a level's two certified points, and each level's final
     mid for its residual.  The mids it skips would have moved the bracket
     the same way, so the results, brackets, residuals and iteration counts
@@ -379,14 +384,30 @@ def tail_probability(model: GainModel, r: float) -> float:
         ValueError: unless 0 <= r <= log(DBL_MAX), about 709.78; beyond it
             e^r - 1 overflows a double.
     """
-    r = float(r)
-    if math.isnan(r) or r < 0.0:
-        raise ValueError("threshold r must be nonnegative")
-    if r > _R_MAX:
-        raise ValueError(
-            f"threshold r = {r!r} exceeds {_R_MAX!r}, where e^r - 1 overflows a double"
-        )
-    return math.exp(model.log_laplace(math.expm1(r)))
+    return tail_probabilities(model, (r,))[0]
+
+
+def tail_probabilities(model: GainModel, thresholds: Iterable[float]) -> list[float]:
+    """``tail_probability`` at each threshold, in one transform call.
+
+    Every threshold is checked, in order, before any is evaluated.  r = 0,
+    where e^r - 1 is 0, has probability 1 without a call.
+
+    Raises:
+        ValueError: unless 0 <= r <= log(DBL_MAX) for every threshold r.
+    """
+    thresholds = [float(r) for r in thresholds]
+    for r in thresholds:
+        if math.isnan(r) or r < 0.0:
+            raise ValueError("threshold r must be nonnegative")
+        if r > _R_MAX:
+            raise ValueError(
+                f"threshold r = {r!r} exceeds {_R_MAX!r}, where e^r - 1 overflows a double"
+            )
+    rho = [math.expm1(r) for r in thresholds]
+    positive = [x for x in rho if x > 0.0]
+    values = iter(model._log_laplace_values(np.array(positive)).tolist() if positive else ())
+    return [math.exp(next(values)) if x > 0.0 else 1.0 for x in rho]
 
 
 class Prediction(NamedTuple):

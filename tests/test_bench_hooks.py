@@ -65,6 +65,11 @@ def test_a_traced_benchmark_round_keeps_its_bytes_and_reads_every_layer(
     assert set(metrics) == set(units)
     assert all(math.isfinite(value) for value in metrics.values()), metrics
     json.dumps(metrics, allow_nan=False)
+    # The tracer wraps report_csv_text, so the serialized bytes are those of
+    # the two simulate reports; a writer that bypasses it would read 0.
+    simulated = [command["text"] for command in traced["commands"][:2]]
+    assert metrics["experiment.serialize.bytes"] == sum(len(text.encode()) for text in simulated)
+    assert metrics["experiment.serialize.bytes"] > 0
 
 
 @pytest.mark.parametrize("workload", [workload["name"] for workload in BENCHMARK["workloads"]])

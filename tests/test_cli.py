@@ -542,7 +542,7 @@ def test_tail_check_exits_five_when_the_curve_is_wrong(monkeypatch) -> None:
     # threshold lands far outside the 4-sigma band.
     import logassign.cli as cli_module
 
-    monkeypatch.setattr(cli_module, "tail_probability", lambda model, r: 0.5)
+    monkeypatch.setattr(cli_module, "tail_probabilities", lambda model, grid: [0.5] * len(grid))
     result = _run("tail-check", "exp", "--samples", "20000")
     assert result.exit_code == 5
     assert "4 sigma" in result.output
@@ -682,7 +682,7 @@ _SIMULATE = ("simulate", "exp", "--sizes", "3", "--replicates", "2")
     (_PREDICT, "prediction_table", QuadratureError("no quadrature here", 1.0), 3),
     (_SIMULATE, "run_experiment", ReplicateError(3, 1, "no replicate here"), 4),
     (_SIMULATE, "run_experiment", BrokenProcessPool("no pool here"), 4),
-    (("tail-check", "exp", "--samples", "10000"), "tail_probability",
+    (("tail-check", "exp", "--samples", "10000"), "tail_probabilities",
      QuadratureError("no quadrature here", 1.0), 3),
     (("solve", "{file}"), "solve_max_assignment", ValueError("no matrix here"), 2),
     (("compare", "{file}"), "parse_report_csv", ValueError("no report here"), 2),

@@ -19,6 +19,7 @@ from logassign import (
     GainModel,
     ParetoGain,
     Prediction,
+    QuadratureError,
     UniformGain,
     asymptotic_prediction,
     asymptotic_quantile,
@@ -27,6 +28,7 @@ from logassign import (
     prediction_table,
     quantile,
     slow_variation_ratio,
+    tail_probabilities,
     tail_probability,
     tail_quantile,
     tail_quantiles,
@@ -285,6 +287,88 @@ def test_levels_on_both_sides_of_r_512_solve_together_as_plain_bisection(monkeyp
     assert [result.bracket[1] <= 512.0 for result in results] == [True, True, False, False]
     assert results == reference
     assert calls < reference_calls
+
+
+@pytest.mark.parametrize("law", [*BUILTINS, ParetoGain(1.5), Scaled(2.5)],
+                         ids=lambda law: f"{type(law).__name__}:{law.spec}")
+def test_tail_probabilities_equal_the_scalar_formula_in_one_call(law, monkeypatch) -> None:
+    grid = [0.0, 5e-324, 1e-20, 0.5, 1.0, 2.0, 3.0, 7.0, 50.0, 709.0,
+            math.log(sys.float_info.max)]
+    expected = [math.exp(law.log_laplace(math.expm1(r))) for r in grid]
+    calls = []
+    original = type(law)._log_laplace_values
+    monkeypatch.setattr(type(law), "_log_laplace_values",
+                        lambda self, rho: calls.append(rho.size) or original(self, rho))
+    assert tail_probabilities(law, grid) == expected
+    assert calls == [len(grid) - 1]  # r = 0 needs no call
+    assert [tail_probability(law, r) for r in grid] == expected
+
+
+def test_tail_probabilities_check_every_threshold_in_order_before_any_call() -> None:
+    model = CountingGain(ExponentialGain())
+    for grid, message in [((1.0, math.nan, 710.0), "nonnegative"), ((1.0, -1.0), "nonnegative"),
+                          ((1.0, 710.0, -1.0), "overflows a double")]:
+        with pytest.raises(ValueError, match=message):
+            tail_probabilities(model, grid)
+    assert model.calls == 0
+
+
+def test_levels_around_the_top_of_the_dyadic_ladder_solve_as_plain_bisection() -> None:
+    # A constant law's closed-form guess is its exact root, so near r = 512
+    # the first call of the ladder reaches log(DBL_MAX), one rung past where
+    # doubling one rung a call stops.
+    c = 1e223
+    levels = [math.exp(-math.expm1(r) / c)
+              for r in (500.0, 510.0, 511.0, 511.9, 512.0, 512.1, 513.0, 520.0)]
+    assert tail_quantiles(ConstantGain(c), levels) == lockstep_bisection(ConstantGain(c), levels)
+    for p in levels:
+        assert tail_quantiles(ConstantGain(c), [p]) == lockstep_bisection(ConstantGain(c), [p])
+
+
+# Levels from 0.5 down to 1e-300, and the outcome of solving each alone and
+# all together, as the certified solver gave them before its ladder was
+# batched: SHA-256 of one line per solve, the results' fields or the
+# exception's class and message.  Past alpha = 106 Pareto's far-tail
+# quadrature overflows, so a batched ladder must raise only where doubling
+# one rung a call raised.
+LADDER_LEVELS = [0.5, *(10.0**-k for k in (1, 2, 3, 5, 10, 20, 50, 100, 150, 200, 250, 300))]
+LADDER_OUTCOMES = {
+    "pareto:106.5": "dee81d700d8a50904e31c2c836327034750e1e84363bdb2270f907f4ba5d0a29",
+    "pareto:150": "552fd86618a585e412eb356943fef2a4b49c59d3e0687d285b393c05a0fd8d07",
+    "pareto:1000": "84747b9c89fbb201aed1b7a630082c3c0839ad27affc8ce7e63929d1960a9cab",
+}
+
+
+def _outcome(model, levels) -> str:
+    try:
+        return repr([(q.p, q.r, q.bracket, q.residual, q.iterations)
+                     for q in tail_quantiles(model, levels)])
+    except (BracketError, QuadratureError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("spec", LADDER_OUTCOMES)
+def test_a_batched_ladder_keeps_each_outcome_past_the_far_tail_limit(spec: str) -> None:
+    model = parse_model_spec(spec)
+    lines = [_outcome(model, [p]) for p in LADDER_LEVELS] + [_outcome(model, LADDER_LEVELS)]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == LADDER_OUTCOMES[spec]
+
+
+def test_a_law_with_no_stated_bound_evaluates_exactly_the_points_of_plain_bisection(
+        monkeypatch) -> None:
+    # Its ladder evaluates one rung a call, and every mid, in the order of
+    # the oracle's lockstep bisection.
+    model = Doubled()
+    assert model._log_laplace_error() is None
+    calls = []
+    original = UniformGain._log_laplace_values
+    monkeypatch.setattr(Doubled, "_log_laplace_values",
+                        lambda self, rho: calls.append(rho.copy()) or original(self, rho))
+    results = tail_quantiles(model, GRID)
+    ours, calls[:] = calls[:], []
+    assert results == lockstep_bisection(model, GRID)
+    assert len(ours) == len(calls)
+    assert all(np.array_equal(a, b) for a, b in zip(ours, calls))
 
 
 @pytest.mark.parametrize("sizes,p", [([2, 10**12, 10**10], "1e-12"), ([10**10, 10**12], "1e-10")])
