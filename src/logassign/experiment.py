@@ -351,6 +351,8 @@ def table_text(columns, records, fmt: str) -> str:
     layouts = {}
     lines = []
     for record in (columns, *records):
+        if not isinstance(record, tuple):
+            record = tuple(record)
         kinds = tuple(map(type, record))
         layout = layouts.get(kinds)
         if layout is None:
@@ -364,8 +366,6 @@ def table_text(columns, records, fmt: str) -> str:
                            for x in record)
             if record == ("",):
                 record = ('""',)  # as csv does, so the line is not blank
-        elif not isinstance(record, tuple):
-            record = tuple(record)
         lines.append(template % record)
     return "".join(lines)
 

@@ -55,7 +55,8 @@ _expm1 = _elementwise(math.expm1)
 # are whole numbers of at most 44 bits.
 _DYADIC_TOP = 2.0 ** math.floor(math.log2(_R_MAX))
 _UNIT = 2.0 ** math.floor(math.log2(BRACKET_WIDTH)) / 2.0
-# The points that doubling brackets: r = 0, 1, 2, 4, ..., _DYADIC_TOP, _R_MAX.
+# The points at which doubling brackets the levels: r = 0, 1, 2, 4, ...,
+# _DYADIC_TOP and _R_MAX.
 _RUNGS = (0.0, *(2.0**k for k in range(int(math.log2(_DYADIC_TOP)) + 1)), _R_MAX)
 # Secant steps before bisection, at most; then the probes go this many
 # stated errors past the root, more than the 2 a certificate needs.
@@ -120,11 +121,11 @@ def tail_quantiles(model: GainModel, levels: Iterable[float]) -> list[QuantileRe
     every mid at or above it left.  Before bisecting, a few secant steps and
     a pair of probes find such points close to each root.  A mid that
     bisection evaluates adds none that counts: whatever it certifies lies
-    outside the bracket its own step leaves.  Bisection evaluates only the mids
-    strictly between a level's two certified points, and each level's final
-    mid for its residual.  The mids it skips would have moved the bracket
-    the same way, so the results, brackets, residuals and iteration counts
-    included, are those of plain bisection.  As ``model.log_laplace``
+    outside the bracket its own step leaves.  Bisection evaluates only the
+    mids strictly between a level's two certified points, and each level's
+    final mid for its residual.  The mids it skips would have moved the
+    bracket the same way, so the results, brackets, residuals and iteration
+    counts included, are those of plain bisection.  As ``model.log_laplace``
     depends on rho alone, the results also equal separate ``tail_quantile``
     solves.
 
@@ -173,11 +174,9 @@ def _bisect(model: GainModel, levels: list[float]) -> tuple[np.ndarray, ...]:
     # mid at or above ``goes_left`` moves it left.
     goes_right, goes_left = _certified_points(
         model, error, target, low, high, low_value, high_value)
-    # An evaluated mid decides its own step alone: whatever it would certify
-    # lies outside the bracket that the step leaves, so only the points found
-    # before bisecting are ever needed.  A dyadic level jumps by their
-    # positions in units of _UNIT: up to ``right_units`` every mid goes right,
-    # and from ``left_units + 1`` on every mid goes left.
+    # Only these points certify (see tail_quantiles).  A dyadic level jumps
+    # by their positions in units of _UNIT: up to ``right_units`` every mid
+    # goes right, and from ``left_units + 1`` on every mid goes left.
     right_units = np.floor(goes_right / _UNIT)
     left_units = np.ceil(goes_left / _UNIT) - 1.0
     bracket = np.array([low, high])
@@ -295,7 +294,7 @@ def _certified_points(model: GainModel, error: float | None, target: np.ndarray,
         # the probes certify the root closely.  From there on its slope stays,
         # so its steps only close in further.  After _SECANT_STEPS all stop.
         close = error / np.minimum(-target, 1.0)
-        while rows < _SECANT_STEPS + 2:
+        for _ in range(_SECANT_STEPS):
             going = np.abs(f1) > close
             if not np.count_nonzero(going):
                 break
@@ -335,7 +334,7 @@ def _log_tails(model: GainModel, r: np.ndarray) -> np.ndarray:
 
 
 def _doubled_brackets(model: GainModel, error: float | None, target: np.ndarray,
-                      levels: list[float], order: list[int]) -> tuple[np.ndarray, ...]:
+                      levels: list[float], order: np.ndarray) -> tuple[np.ndarray, ...]:
     """Brackets [low, high] of the levels in ``order``, by doubling high from 1.
 
     Every level doubles through the same rungs r = 0, 1, 2, 4, ..., up to
