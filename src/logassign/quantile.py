@@ -423,7 +423,7 @@ def prediction_table(model: GainModel, sizes: Iterable[int]) -> list[Prediction]
     """The numeric and closed-form quantile at level 1/n and prediction, per size n.
 
     The numeric prediction is n * quantile(1/n), with every quantile solved
-    in one ``tail_quantiles`` call.  A closed form outside its domain, or
+    together, as one ``tail_quantiles`` call solves them.  A closed form outside its domain, or
     one the model lacks, gives NaN: the sharp quantile law needs 1/n below
     exp(-e), the growth law n >= 3.
 
@@ -440,9 +440,9 @@ def prediction_table(model: GainModel, sizes: Iterable[int]) -> list[Prediction]
     levels = [1.0 / n for n in sizes]
     roots = _bisect(model, levels)[0].tolist() if levels else []
     rows = []
-    for n, r in zip(sizes, roots):
+    for n, p, r in zip(sizes, levels, roots):
         try:
-            sharp = _sharp_quantile(model, 1.0 / n)
+            sharp = _sharp_quantile(model, p)
         except ValueError:  # the model has no closed forms
             sharp = None
         growth = _growth(model, n)
