@@ -375,9 +375,11 @@ def _csv_field(value) -> str:
     text = "" if value is None else str(value)
     if not any(c in text for c in ',"\r\n'):
         return text
+    # csv quotes a field that holds a character of the line terminator, so
+    # this one quotes a lone \r as it quotes \n.
     out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerow((text,))
-    return out.getvalue()[:-1]
+    csv.writer(out, lineterminator="\r\n").writerow((text,))
+    return out.getvalue()[:-2]
 
 
 def _report_records(report: ExperimentReport):

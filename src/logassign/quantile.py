@@ -127,7 +127,8 @@ def tail_quantiles(model: GainModel, levels: Iterable[float]) -> list[QuantileRe
     bracket the same way, so the results, brackets, residuals and iteration
     counts included, are those of plain bisection.  As ``model.log_laplace``
     depends on rho alone, the results also equal separate ``tail_quantile``
-    solves.
+    solves.  A law that states no bound certifies no point, so it evaluates
+    every mid, as plain lockstep bisection does.
 
     Each doubled bracket but the last, [0, 1] or [2^k, 2^(k+1)], is dyadic:
     its mids are exact, so a level in one jumps at the start of each round
@@ -135,9 +136,7 @@ def tail_quantiles(model: GainModel, levels: Iterable[float]) -> list[QuantileRe
     points decide.  A round then evaluates every such level's mid, usually
     two or three rounds in all.  A level in the last bracket, [512, log
     DBL_MAX], whose mids round, takes one step per round instead, and
-    evaluates its mid only when that step is undecided.  A law with no
-    stated bound decides no step, so every level takes one step per round
-    and every mid is evaluated, as in plain lockstep bisection.
+    evaluates its mid only when that step is undecided.
 
     Raises:
         ValueError: unless 0 < p < 1 for every level, checked before any
@@ -181,16 +180,15 @@ def _bisect(model: GainModel, levels: list[float]) -> tuple[np.ndarray, ...]:
     left_units = np.ceil(goes_left / _UNIT) - 1.0
     bracket = np.array([low, high])
     low, high = bracket  # views: the rounds move the bracket in place
-    # Each level's bracket, mid's value and step when it finishes.
+    # Each level's bracket and mid's value when it finishes.
     final, final_value = np.empty_like(bracket), np.empty(count)
-    iterations = np.empty(count, dtype=np.int64)
     evaluated = np.empty(count)
     live = np.ones(count, dtype=bool)  # the levels still bisecting, in p order
-    step = np.zeros(count, dtype=np.int64)  # each level's bisection step
-    # Only a law with certified points has steps to jump.  A dyadic level,
-    # which jumps, keeps no step count: it finishes at the step at which its
-    # bracket is 2 units wide.
-    dyadic = high <= _DYADIC_TOP if error is not None else np.zeros(count, dtype=bool)
+    dyadic = high <= _DYADIC_TOP
+    # Each level's iterations, the step at which it finishes: a dyadic
+    # bracket halves exactly to 2 units wide, and the last bracket finishes
+    # at step 41, which this also gives; its mids round, by far too little
+    # to move that step.
     depth = np.frexp((high - low) / _UNIT)[1] - 2
     for _ in range(2000):
         if np.count_nonzero(dyadic):
@@ -211,19 +209,16 @@ def _bisect(model: GainModel, levels: list[float]) -> tuple[np.ndarray, ...]:
                 evaluated[at] = value
                 np.copyto(final, bracket, where=finishing)
                 np.copyto(final_value, evaluated, where=finishing)
-                np.copyto(iterations, step, where=finishing)
                 live &= ~finishing
                 if not np.count_nonzero(live):
                     break
         np.copyto(low, mid, where=right)
         np.copyto(high, mid, where=~right)
-        step += 1
     else:
         raise BracketError("bisection failed to shrink the bracket")
-    np.copyto(iterations, depth, where=dyadic)
     inverse = np.argsort(order)
     return ((0.5 * (final[0] + final[1]))[inverse], final[:, inverse],
-            (final_value - target)[inverse], iterations[inverse])
+            (final_value - target)[inverse], depth[inverse])
 
 
 def _jump(low: np.ndarray, high: np.ndarray, right_units: np.ndarray,
@@ -239,7 +234,8 @@ def _jump(low: np.ndarray, high: np.ndarray, right_units: np.ndarray,
     the steps that the certified points decide are the leading bits that a
     and c share, once both are clamped into the bracket; this holds
     whichever of them is larger.  The next mid to evaluate heads the
-    smallest bracket holding both.
+    smallest bracket holding both.  With no certified points, a is the
+    bracket's first position and c its last, so the bracket stays.
     """
     lo = low / _UNIT
     top = high / _UNIT - 1.0
@@ -389,8 +385,9 @@ def tail_probability(model: GainModel, r: float) -> float:
 def tail_probabilities(model: GainModel, thresholds: Iterable[float]) -> list[float]:
     """``tail_probability`` at each threshold, in one transform call.
 
-    Every threshold is checked, in order, before any is evaluated.  r = 0,
-    where e^r - 1 is 0, has probability 1 without a call.
+    Every threshold is checked, in order, before any is evaluated, and a
+    run of equal thresholds is evaluated once.  r = 0, where e^r - 1 is 0,
+    has probability 1 without a call.
 
     Raises:
         ValueError: unless 0 <= r <= log(DBL_MAX) for every threshold r.
@@ -403,10 +400,9 @@ def tail_probabilities(model: GainModel, thresholds: Iterable[float]) -> list[fl
             raise ValueError(
                 f"threshold r = {r!r} exceeds {_R_MAX!r}, where e^r - 1 overflows a double"
             )
-    rho = [math.expm1(r) for r in thresholds]
-    positive = [x for x in rho if x > 0.0]
-    values = iter(model._log_laplace_values(np.array(positive)).tolist() if positive else ())
-    return [math.exp(next(values)) if x > 0.0 else 1.0 for x in rho]
+    positive = [r for r in thresholds if r > 0.0]
+    values = iter(_log_tails(model, np.array(positive)).tolist() if positive else ())
+    return [math.exp(next(values)) if r > 0.0 else 1.0 for r in thresholds]
 
 
 class Prediction(NamedTuple):

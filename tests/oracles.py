@@ -134,11 +134,14 @@ def csv_table_text(columns, records) -> str:
     """``table_text(columns, records, "csv")`` through ``csv.writer``.
 
     Every float, numpy's float64 included, goes through ``real_text``; any
-    other field is the csv module's to write and quote.
+    other field is the csv module's to write and quote.  Each line is
+    written with the terminator \r\n, so that a field holding a lone \r
+    is quoted and reads back, and then ends in \n.
     """
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows([real_text(x) if isinstance(x, float) else x for x in record]
-                     for record in records)
-    return out.getvalue()
+    lines = []
+    for record in (columns, *records):
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\r\n").writerow(
+            [real_text(x) if isinstance(x, float) else x for x in record])
+        lines.append(out.getvalue()[:-2] + "\n")
+    return "".join(lines)

@@ -186,6 +186,16 @@ class NegativeGain(ExponentialGain):
         return -0.5 * (1.0 - rng.random(size=size))
 
 
+@dataclass(frozen=True)
+class NamedGain(ExponentialGain):
+    """Exponential gains under any name.
+
+    Defined at module level so that pool workers can unpickle it.
+    """
+
+    spec: str = "exp"
+
+
 _SHARED_GAINS = np.linspace(0.5, 2.0, 16).reshape(4, 4)
 
 
@@ -780,6 +790,18 @@ def test_report_csv_round_trips_exactly() -> None:
     # Blank lines are skipped.
     header, *rows = text.splitlines(keepends=True)
     assert parse_report_csv(header + "\n" + "\n".join(rows) + "\n") == report
+
+
+@pytest.mark.parametrize("spec", ["exp\rodd", "exp\nodd", "exp,odd", 'exp"odd',
+                                  'exp\rodd\nname, "quoted"'])
+def test_a_report_whose_model_name_needs_quoting_round_trips(spec: str) -> None:
+    # A lone \r is quoted as \n is; unquoted, the reader refuses the line.
+    report = run_experiment(_config(model=NamedGain(spec)))
+    text = report_csv_text(report)
+    quoted = '"' + spec.replace('"', '""') + '"'
+    assert text.split("\n", 1)[1].startswith(quoted + ",annealed,3,")
+    assert parse_report_csv(text) == report
+    assert parse_report_csv(text).model == spec
 
 
 @pytest.mark.parametrize("mode", ["annealed", "quenched"])

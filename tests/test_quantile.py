@@ -289,6 +289,34 @@ def test_levels_on_both_sides_of_r_512_solve_together_as_plain_bisection(monkeyp
     assert calls < reference_calls
 
 
+class BoundedExponential(GainModel):
+    """Exponential's transform, with a stated bound but no closed-form quantile law."""
+
+    spec = "bounded-exp"
+
+    def _log_laplace_batch(self, rho):
+        return ExponentialGain()._log_laplace_batch(rho)
+
+    def _log_laplace_error(self) -> float:
+        return 1e-12
+
+
+def test_a_stated_bound_without_a_quantile_law_doubles_one_rung_a_call(monkeypatch) -> None:
+    model = BoundedExponential()
+    reference = lockstep_bisection(model, _grid(0))
+    sizes = []
+    original = BoundedExponential._log_laplace_values
+    monkeypatch.setattr(BoundedExponential, "_log_laplace_values",
+                        lambda self, rho: sizes.append(rho.size) or original(self, rho))
+    results = tail_quantiles(model, _grid(0))
+    assert results == reference
+    assert results == tail_quantiles(ExponentialGain(), _grid(0))
+    # With no guess to batch up to, its ladder evaluates r = 1, 2 and 4 one
+    # a call; then its certified points skip most mids, as exp's do.
+    assert sizes[:4] == [1, 1, 1, len(_grid(0))]
+    assert len(sizes) < 20
+
+
 @pytest.mark.parametrize("law", [*BUILTINS, ParetoGain(1.5), Scaled(2.5)],
                          ids=lambda law: f"{type(law).__name__}:{law.spec}")
 def test_tail_probabilities_equal_the_scalar_formula_in_one_call(law, monkeypatch) -> None:
@@ -302,6 +330,11 @@ def test_tail_probabilities_equal_the_scalar_formula_in_one_call(law, monkeypatc
     assert tail_probabilities(law, grid) == expected
     assert calls == [len(grid) - 1]  # r = 0 needs no call
     assert [tail_probability(law, r) for r in grid] == expected
+    # A run of equal thresholds, here once r = 0 is set aside, is one point.
+    calls.clear()
+    repeated = [2.0, 2.0, 0.0, 2.0, 7.0]
+    assert tail_probabilities(law, repeated) == [expected[grid.index(r)] for r in repeated]
+    assert calls == [2]
 
 
 def test_tail_probabilities_check_every_threshold_in_order_before_any_call() -> None:
