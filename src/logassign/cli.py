@@ -1,8 +1,12 @@
 """Command-line front end: predictions, simulations, and diagnostics.
 
-Each command body calls the library directly, and the tables of
+Each command body parses its arguments, calls the library and prints
+what it returns; every figure is computed in the library.  The tables of
 ``predict``, ``simulate`` and ``tail-check`` are written by
-:func:`~logassign.experiment.table_text`.  :class:`LibraryCommand`, the
+:func:`~logassign.experiment.table_text`; ``tail-check`` prints the
+:class:`~logassign.experiment.TailFrequency` rows of
+:func:`~logassign.experiment.tail_check` and fails where one breaks
+:data:`~logassign.experiment.TAIL_CHECK_SIGMAS`.  :class:`LibraryCommand`, the
 class of every command, holds the one map from library exceptions to exit
 codes:
 
@@ -16,33 +20,32 @@ and propagates as a traceback.
 
 from __future__ import annotations
 
-import math
 import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import click
-import numpy as np
 
 from .experiment import (
     ANNEALED,
     QUENCHED,
+    TAIL_CHECK_SIGMAS,
     ExperimentConfig,
     ReplicateError,
-    _PURPOSE_TAIL_CHECK,
+    TailFrequency,
     compare_report,
     parse_report_csv,
     real_text,
-    replicate_stream,
     report_csv_text,
     report_json_text,
     run_experiment,
     table_text,
+    tail_check as check_tails,
 )
-from .gains import QuadratureError, parse_model_spec, sample_cost, MODEL_SPEC_GRAMMAR
+from .gains import QuadratureError, parse_model_spec, MODEL_SPEC_GRAMMAR
 from .matching import solve_max_assignment
-from .quantile import BracketError, Prediction, prediction_table, tail_probabilities
+from .quantile import BracketError, Prediction, prediction_table
 
 EXIT_NUMERIC = 3
 EXIT_SIMULATION = 4
@@ -58,10 +61,6 @@ _SIZES_HELP = (
     "10..100:10 (inclusive of b when step divides b-a), of at most "
     f"{_MAX_RANGE_SIZES} sizes."
 )
-# tail-check peaks while it draws: the gains plus the one buffer that fades
-# and costs share, 16 bytes per sample for every law, so 10**8 samples
-# already need 1.6 GB.
-_MAX_SAMPLES = 10**8
 
 
 def _fail(code: int, message: str):
@@ -192,24 +191,11 @@ def tail_check(model_spec, thresholds, samples, seed):
         grid = tuple(float(part) for part in thresholds.split(","))
     except ValueError:
         raise click.UsageError(f"bad thresholds {thresholds!r}") from None
-    if not 10_000 <= samples <= _MAX_SAMPLES:
-        raise click.UsageError(f"--samples must lie between 10000 and {_MAX_SAMPLES}")
-    # The seed, every threshold and its probability are checked before the draw.
-    rng = replicate_stream(seed, 0, 0, purpose=_PURPOSE_TAIL_CHECK)
-    curve = tail_probabilities(model, grid)
-    costs = sample_cost(model, rng, size=samples)
-    rows = []
-    for r, theoretical in zip(grid, curve):
-        empirical = float(np.mean(costs >= r))
-        spread = math.sqrt(theoretical * (1.0 - theoretical) / samples)
-        if spread == 0.0:
-            z = 0.0 if empirical == theoretical else math.inf
-        else:
-            z = (empirical - theoretical) / spread
-        rows.append((r, empirical, theoretical, z))
-    click.echo(table_text(("r", "empirical", "theoretical", "z_score"), rows, "csv"), nl=False)
-    if any(abs(z) > 4.0 for *_, z in rows):
-        _fail(EXIT_TAIL_CHECK, "an empirical tail frequency sits more than 4 sigma out")
+    rows = check_tails(model, grid, samples, seed)
+    click.echo(table_text(TailFrequency._fields, rows, "csv"), nl=False)
+    if any(abs(row.z_score) > TAIL_CHECK_SIGMAS for row in rows):
+        _fail(EXIT_TAIL_CHECK, "an empirical tail frequency sits more than "
+                               f"{TAIL_CHECK_SIGMAS:g} sigma out")
 
 
 @main.command(help="Solve one max-assignment instance from a CSV matrix file.")

@@ -18,6 +18,11 @@ no more workers than either, nor than it has chunks; each size then goes
 out in one chunk per worker, largest size first, so the chunks left at
 the end are the cheapest.  The price of a quenched pooled run is one gain
 draw per chunk, so at most one per worker and size.
+
+:func:`tail_check` tests the identity the predictions rest on,
+P(cost >= r) = L(e^r - 1), against costs drawn from a stream of its own,
+keyed by the seed alone, and returns one :class:`TailFrequency` row per
+threshold.
 """
 
 from __future__ import annotations
@@ -28,24 +33,28 @@ import json
 import math
 import os
 import pickle
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import gains as gain_laws
-from .gains import GainModel, generate_cost_matrix
+from .gains import GainModel, generate_cost_matrix, sample_cost
 from .matching import solve_max_assignment
-from .quantile import Prediction, prediction_table
+from .quantile import Prediction, prediction_table, tail_probabilities
 
 __all__ = [
     "ANNEALED",
     "QUENCHED",
     "REPORT_COLUMNS",
+    "TAIL_CHECK_SIGMAS",
     "ExperimentConfig",
     "ExperimentReport",
     "ReplicateError",
     "ReportRow",
+    "TailFrequency",
     "compare_report",
     "parse_report_csv",
     "replicate_stream",
@@ -53,6 +62,7 @@ __all__ = [
     "report_json_text",
     "run_experiment",
     "table_text",
+    "tail_check",
 ]
 
 ANNEALED = "annealed"
@@ -81,6 +91,15 @@ _SEED_BITS = 64
 _SIZE_BITS = 32
 _REPLICATE_BITS = 30
 _PURPOSE_BITS = 2
+
+# A tail check fails where a z-score lies more than this many standard
+# errors from 0.
+TAIL_CHECK_SIGMAS = 4.0
+# tail_check peaks while it draws: the gains plus the one buffer that fades
+# and costs share, 16 bytes per sample for every law, so 10**8 samples
+# already need 1.6 GB.  A gain whose g*f may overflow adds up to 14 more.
+_MIN_SAMPLES = 10**4
+_MAX_SAMPLES = 10**8
 
 
 class ReplicateError(RuntimeError):
@@ -323,6 +342,54 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         master_seed=config.master_seed,
         rows=rows,
     )
+
+
+class TailFrequency(NamedTuple):
+    """One threshold's row of :func:`tail_check`; its fields are the columns."""
+
+    r: float
+    empirical: float
+    theoretical: float
+    z_score: float
+
+
+def tail_check(
+    model: GainModel, thresholds: Iterable[float], samples: int = 1_000_000, seed: int = 0
+) -> list[TailFrequency]:
+    """Sampled cost tail frequencies beside the transform's, one row per threshold r.
+
+    ``samples`` costs are drawn through
+    :func:`~logassign.gains.sample_cost` from the tail-check stream of
+    ``seed``.  Each row sets the fraction of costs at or above r beside
+    P(cost >= r) = L(e^r - 1) from
+    :func:`~logassign.quantile.tail_probabilities`, and gives their
+    difference in standard errors sqrt(p (1 - p) / samples).  Where that
+    error is 0, the z-score is 0 if the two agree and inf otherwise.  A row
+    whose |z| exceeds :data:`TAIL_CHECK_SIGMAS` fails the check.
+
+    Raises, before any cost is drawn and in this order:
+        ValueError: unless ``samples`` is a whole number from 10**4 to
+            10**8; unless ``seed`` fits in 64 unsigned bits; unless every
+            threshold lies in [0, log(DBL_MAX)].
+        QuadratureError: where the transform fails at a threshold.
+    """
+    samples = gain_laws._whole_number("samples", samples)
+    if not _MIN_SAMPLES <= samples <= _MAX_SAMPLES:
+        raise ValueError(f"--samples must lie between {_MIN_SAMPLES} and {_MAX_SAMPLES}")
+    rng = replicate_stream(seed, 0, 0, purpose=_PURPOSE_TAIL_CHECK)
+    thresholds = [float(r) for r in thresholds]
+    curve = tail_probabilities(model, thresholds)
+    costs = sample_cost(model, rng, size=samples)
+    rows = []
+    for r, theoretical in zip(thresholds, curve):
+        empirical = float(np.mean(costs >= r))
+        spread = math.sqrt(theoretical * (1.0 - theoretical) / samples)
+        if spread == 0.0:
+            z = 0.0 if empirical == theoretical else math.inf
+        else:
+            z = (empirical - theoretical) / spread
+        rows.append(TailFrequency(r, empirical, theoretical, z))
+    return rows
 
 
 def real_text(x: float) -> str:

@@ -71,6 +71,10 @@ _DENSITY_LABEL = "user density transform"
 # covers points between those tested and the rounding of libm's expm1 in
 # rho = e^r - 1.
 _CLOSED_FORM_ERROR = 1e-12
+# A unit exponential fade drawn as -log u from a double u >= 2**-1074 stays
+# below 745 (numpy's ziggurat fades stay below 45), so below this gain g*f
+# never overflows.
+_OVERFLOW_GAIN = sys.float_info.max / 745.0
 
 
 def _elementwise(fn):
@@ -656,8 +660,11 @@ def _whole_number(name: str, value) -> int:
     return whole
 
 
-def _checked_gains(gains, n: int) -> np.ndarray:
-    """``gains`` as a float array, if it is an n x n matrix of positive finite reals."""
+def _checked_gains(gains, n: int) -> tuple[np.ndarray, float]:
+    """``gains`` as a float array, and its largest entry.
+
+    Raises ValueError unless ``gains`` is an n x n matrix of positive finite reals.
+    """
     gains = np.asarray(gains, dtype=float)
     if gains.shape != (n, n):
         raise ValueError(f"gain matrix shape {gains.shape} does not match n = {n}")
@@ -666,24 +673,39 @@ def _checked_gains(gains, n: int) -> np.ndarray:
     if not gains.min() > 0.0:
         raise ValueError("gain matrix entries must be positive finite reals: "
                          "an entry is zero, negative or NaN")
-    if not gains.max() < math.inf:
+    top = gains.max()
+    if not top < math.inf:
         raise ValueError("gain matrix entries must be positive finite reals: "
                          "a gain overflows a double")
-    return gains
+    return gains, top
 
 
-def _log_costs(gains, rng: np.random.Generator, size) -> np.ndarray:
+def _log_costs(gains, top: float, rng: np.random.Generator, size) -> np.ndarray:
     """log(1 + gains * fades), computed in the one buffer the fades are drawn into.
 
     This is the only code that turns gains into costs, so a cost has the
     same bits whichever way it is drawn.  ``gains`` is only read: it may be
-    frozen, or memory a model shares.  ``g*f == f*g`` exactly, and a
-    unit-scale ``exponential`` is ``standard_exponential``, so this equals
-    ``np.log1p(gains * rng.exponential(size=size))`` bit for bit.
+    frozen, or memory a model shares; ``top`` is its largest entry.
+    ``g*f == f*g`` exactly, and a unit-scale ``exponential`` is
+    ``standard_exponential``, so every cost whose ``g*f`` is a finite double
+    equals ``np.log1p(gains * rng.exponential(size=size))`` bit for bit.
+    Where ``g*f`` overflows for a finite gain, the cost is ``log g + log f``,
+    which is log1p(g*f) to within the rounding of the two logs.
     """
     costs = rng.standard_exponential(size=size)
-    np.multiply(gains, costs, out=costs)
-    return np.log1p(costs, out=costs)
+    if not top >= _OVERFLOW_GAIN:
+        np.multiply(gains, costs, out=costs)
+        return np.log1p(costs, out=costs)
+    # Only a fade of at least DBL_MAX / top, as rounded, can overflow g*f:
+    # keep those fades before the buffer is overwritten.
+    near = costs >= sys.float_info.max / top
+    fades = costs[near]
+    with np.errstate(over="ignore"):
+        np.multiply(gains, costs, out=costs)
+    np.log1p(costs, out=costs)
+    over = costs == math.inf
+    costs[over] = np.log(np.broadcast_to(gains, costs.shape)[over]) + np.log(fades[over[near]])
+    return costs
 
 
 def sample_cost(model: GainModel, rng: np.random.Generator, size=None):
@@ -695,8 +717,9 @@ def sample_cost(model: GainModel, rng: np.random.Generator, size=None):
     is libm's, its array power numpy's).
     """
     if size is None:
-        return float(_log_costs(model.sample(rng, size=1), rng, 1)[0])
-    return _log_costs(model.sample(rng, size=size), rng, size)
+        return float(sample_cost(model, rng, size=1)[0])
+    gains = model.sample(rng, size=size)
+    return _log_costs(gains, np.max(gains), rng, size)
 
 
 def generate_cost_matrix(
@@ -720,7 +743,8 @@ def generate_cost_matrix(
         raise ValueError("matrix order n must be at least 1")
     if gain_matrix is None:
         gain_matrix = model.sample(rng, size=(n, n))
-    return _log_costs(_checked_gains(gain_matrix, n), rng, (n, n))
+    gains, top = _checked_gains(gain_matrix, n)
+    return _log_costs(gains, top, rng, (n, n))
 
 
 def parse_model_spec(text: str) -> GainModel:

@@ -540,9 +540,7 @@ def test_tail_check_bytes_are_pinned() -> None:
 def test_tail_check_exits_five_when_the_curve_is_wrong(monkeypatch) -> None:
     # Feed the checker a deliberately wrong theoretical curve so every
     # threshold lands far outside the 4-sigma band.
-    import logassign.cli as cli_module
-
-    monkeypatch.setattr(cli_module, "tail_probabilities", lambda model, grid: [0.5] * len(grid))
+    monkeypatch.setattr(experiment, "tail_probabilities", lambda model, grid: [0.5] * len(grid))
     result = _run("tail-check", "exp", "--samples", "20000")
     assert result.exit_code == 5
     assert "4 sigma" in result.output
@@ -585,7 +583,7 @@ def test_tail_check_rejects_a_threshold_past_the_double_range_before_drawing(
     def refuse(*args, **kwargs):
         raise AssertionError("drew costs")
 
-    monkeypatch.setattr(cli, "sample_cost", refuse)
+    monkeypatch.setattr(experiment, "sample_cost", refuse)
     result = _run("tail-check", "exp", "--thresholds", "1,710", "--samples", "10000")
     assert result.exit_code == 2
     assert "overflows a double" in result.output
@@ -606,6 +604,34 @@ def test_tail_check_rejects_a_seed_outside_64_bits(seed: str) -> None:
     assert result.exit_code == 2
     assert "unsigned 64-bit" in result.output
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("value", ["3e307", "6e307", "1e308", "1.2e308", "1.45e308", "1.7e308"])
+def test_a_huge_constant_gain_never_overflows_a_cost(monkeypatch, value: str) -> None:
+    # g*f overflows a double for fades above DBL_MAX / g.  Such costs are
+    # log g + log f: each command finishes, or finds no bracket for a
+    # prediction before any draw.
+    draws = []
+    original = experiment.generate_cost_matrix
+
+    def counted(*args, **kwargs):
+        draws.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "generate_cost_matrix", counted)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        simulated = _run("simulate", f"constant:{value}", "--sizes", "3,4",
+                         "--replicates", "2")
+        checked = _run("tail-check", f"constant:{value}", "--samples", "10000")
+    assert caught == []
+    if simulated.exit_code == cli.EXIT_NUMERIC:
+        assert "no bracket" in simulated.output and draws == []
+    else:
+        assert simulated.exit_code == 0, simulated.output
+        assert draws == [3, 3, 4, 4]
+    assert checked.exit_code == 0, checked.output
+    assert "inf" not in checked.output
 
 
 def test_solve_prints_value_and_permutation(tmp_path) -> None:
@@ -682,7 +708,7 @@ _SIMULATE = ("simulate", "exp", "--sizes", "3", "--replicates", "2")
     (_PREDICT, "prediction_table", QuadratureError("no quadrature here", 1.0), 3),
     (_SIMULATE, "run_experiment", ReplicateError(3, 1, "no replicate here"), 4),
     (_SIMULATE, "run_experiment", BrokenProcessPool("no pool here"), 4),
-    (("tail-check", "exp", "--samples", "10000"), "tail_probabilities",
+    (("tail-check", "exp", "--samples", "10000"), "experiment.tail_probabilities",
      QuadratureError("no quadrature here", 1.0), 3),
     (("solve", "{file}"), "solve_max_assignment", ValueError("no matrix here"), 2),
     (("compare", "{file}"), "parse_report_csv", ValueError("no report here"), 2),
@@ -693,7 +719,8 @@ def test_library_exceptions_map_to_exit_codes(
     def fail(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr(cli, name, fail)
+    owner, _, name = name.rpartition(".")
+    monkeypatch.setattr(getattr(logassign, owner or "cli"), name, fail)
     path = tmp_path / "input.csv"
     path.write_text("1\n")
     result = _run(*(arg.format(file=path) for arg in args))

@@ -877,3 +877,64 @@ def test_compare_report_summarizes_extremes() -> None:
     assert "max rel_err_numeric" in text
     assert "rel_err_asymptotic range [" in text
     assert text.count("\n") == len(report.rows) + 4
+
+
+# --- tail_check -------------------------------------------------------------
+
+
+def _counted_draws(monkeypatch) -> list:
+    """Every size that ``tail_check`` draws costs for, through the real draw."""
+    draws = []
+    original = experiment.sample_cost
+
+    def counted(model, rng, size=None):
+        draws.append(size)
+        return original(model, rng, size=size)
+
+    monkeypatch.setattr(experiment, "sample_cost", counted)
+    return draws
+
+
+def test_tail_check_returns_one_row_per_threshold_from_one_draw(monkeypatch) -> None:
+    draws = _counted_draws(monkeypatch)
+    rows = experiment.tail_check(ExponentialGain(), [0, 0.5, 2], samples=20_000, seed=3)
+    assert draws == [20_000]
+    assert [type(row) for row in rows] == [experiment.TailFrequency] * 3
+    assert experiment.TailFrequency._fields == ("r", "empirical", "theoretical", "z_score")
+    # Every cost clears r = 0, where the standard error is 0, so z is 0.
+    assert rows[0] == (0.0, 1.0, 1.0, 0.0) and type(rows[0].r) is float
+    assert rows[1] == (0.5, 0.38274999999999998, 0.38175856057462698, 0.2886075810363109)
+    assert all(abs(row.z_score) <= experiment.TAIL_CHECK_SIGMAS for row in rows)
+
+
+def test_tail_check_gives_an_infinite_z_where_a_certain_tail_is_missed(monkeypatch) -> None:
+    monkeypatch.setattr(experiment, "tail_probabilities", lambda model, grid: [1.0] * len(grid))
+    (row,) = experiment.tail_check(ExponentialGain(), [2.0], samples=10_000)
+    assert row.empirical < 1.0 and row.z_score == math.inf
+
+
+@pytest.mark.parametrize("thresholds, samples, seed, error, message", [
+    ([1.0, 710.0], 9_999, -1, ValueError, "between 10000 and 100000000"),
+    ([1.0, 710.0], 10**8 + 1, -1, ValueError, "between 10000 and 100000000"),
+    ([1.0, 710.0], 10_000, -1, ValueError, "unsigned 64-bit"),
+    ([1.0, 710.0], 10_000, 2**64, ValueError, "unsigned 64-bit"),
+    ([1.0, 710.0], 10_000, 0, ValueError, "overflows a double"),
+    ([1.0, 709.79], 10_000, 0, ValueError, "overflows a double"),
+    ([1.0, float("nan")], 10_000, 0, ValueError, "nonnegative"),
+], ids=["few", "many", "negative-seed", "wide-seed", "threshold", "just-past", "nan"])
+def test_tail_check_refuses_before_any_draw_in_order(
+    monkeypatch, thresholds, samples, seed, error, message
+) -> None:
+    # Each case also breaks every later check, so the message shows the order.
+    draws = _counted_draws(monkeypatch)
+    with pytest.raises(error, match=message):
+        experiment.tail_check(ExponentialGain(), thresholds, samples=samples, seed=seed)
+    assert draws == []
+
+
+def test_tail_check_refuses_a_failing_transform_before_any_draw(monkeypatch) -> None:
+    draws = _counted_draws(monkeypatch)
+    # Pareto's far tail overflows its quadrature for alpha above about 106.
+    with pytest.raises(gains.QuadratureError, match="pareto:150.0"):
+        experiment.tail_check(ParetoGain(150.0), [7.0], samples=10_000)
+    assert draws == []

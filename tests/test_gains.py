@@ -768,6 +768,32 @@ def test_a_scalar_cost_is_the_cost_of_a_batch_of_one(model) -> None:
         assert scalar == batch[0]
 
 
+@pytest.mark.parametrize("top", [3e307, 1e308, sys.float_info.max])
+def test_a_cost_whose_product_overflows_is_the_sum_of_the_logs(top: float) -> None:
+    # Where g*f overflows, the cost is log g + log f, with no overflow
+    # warning; every other cost keeps the bits of the plain formula.
+    def check(costs, gains, fades) -> None:
+        with np.errstate(over="ignore"):
+            plain = np.log1p(gains * fades)
+        over = np.isinf(plain)
+        assert over.any() and not over.all()
+        assert np.array_equal(costs[~over], plain[~over])
+        assert np.array_equal(costs[over], np.log(gains[over]) + np.log(fades[over]))
+        for g, f, cost in list(zip(gains[over], fades[over], costs[over]))[:20]:
+            # log1p(g*f) = log g + log f + log1p(1/(g*f)), and 1/(g*f) < 1e-308.
+            assert cost == pytest.approx(math.log(g) + math.log(f), rel=4e-16)
+
+    n = 100
+    # Half the rows hold a gain so large that g*f overflows for some fades.
+    gains = np.full((n, n), 2.0)
+    gains[::2] = top
+    check(generate_cost_matrix(ConstantGain(1.0), n, _rng(11), gain_matrix=gains),
+          gains, _rng(11).exponential(size=(n, n)))
+    # A constant law draws its gains without randomness.
+    check(sample_cost(ConstantGain(top), _rng(12), size=n * n),
+          np.full(n * n, top), _rng(12).exponential(size=n * n))
+
+
 def test_read_only_gain_matrix_is_left_as_it_was() -> None:
     gains = ParetoGain(3.0).sample(_rng(5), size=(50, 50))
     gains.flags.writeable = False

@@ -1,11 +1,13 @@
 """The package namespace: each public name is listed once, in its module.
 
 Also what importing the package loads: scipy's quadrature, optimizers and
-samplers only where a command runs them.
+samplers only where a command runs them, and what the command-line shell
+may import at all.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -13,7 +15,7 @@ import sys
 from pathlib import Path
 
 import logassign
-from logassign import experiment, gains, matching, quantile
+from logassign import cli, experiment, gains, matching, quantile
 
 MODULES = (experiment, gains, matching, quantile)
 
@@ -25,6 +27,24 @@ def test_package_all_is_the_union_of_the_module_lists() -> None:
     for module in MODULES:
         for name in module.__all__:
             assert getattr(logassign, name) is getattr(module, name)
+
+
+def test_the_cli_imports_no_numerics_and_no_private_names() -> None:
+    # The CLI is a shell over the library: whatever it computes belongs
+    # there, so it needs neither numpy nor math, nor the package's internals.
+    numeric = {"numpy", "math"}
+    found = []
+    for node in ast.walk(ast.parse(Path(cli.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names
+                      if alias.name.partition(".")[0] in numeric]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and module.partition(".")[0] in numeric:
+                found.append(module)
+            elif node.level > 0 or module.partition(".")[0] == "logassign":
+                found += [alias.name for alias in node.names if alias.name.startswith("_")]
+    assert found == []
 
 
 def test_asymptotic_prediction_resolves_in_the_package() -> None:
