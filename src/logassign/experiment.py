@@ -14,10 +14,14 @@ quenched chunk draws its size's frozen matrix itself, read-only, from the
 (seed, n) stream, so every copy is bit-identical and a task carries no
 array.  In process a size is one chunk.  A run opens one process pool for
 all its sizes when ``parallelism`` and the CPU count both exceed 1, with
-no more workers than either, nor than it has chunks; each size then goes
-out in one chunk per worker, largest size first, so the chunks left at
-the end are the cheapest.  The price of a quenched pooled run is one gain
-draw per chunk, so at most one per worker and size.
+no more workers than either, nor than it has chunks.  Each size is then
+cut into one chunk per worker, and the run's chunks form one plan,
+largest size first, so the chunks left at the end are the cheapest.
+Each worker gets the plan in one task and takes chunks from one shared
+counter until none is left (self-scheduling; Tang and Yew, ICPP 1986),
+so a worker loads the law once and sends its results back in one message.
+The price of a quenched pooled run is one gain draw per chunk, so at most
+one per worker and size.
 
 :func:`tail_check` tests the identity the predictions rest on,
 P(cost >= r) = L(e^r - 1), against costs drawn from a stream of its own,
@@ -31,6 +35,7 @@ import csv
 import io
 import json
 import math
+import multiprocessing
 import os
 import pickle
 from collections.abc import Iterable
@@ -39,6 +44,7 @@ from dataclasses import astuple, dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import gains as gain_laws
 from .gains import GainModel, generate_cost_matrix, sample_cost
@@ -210,15 +216,31 @@ def _check_key_field(name: str, value, bits: int) -> int:
     return whole
 
 
+class _PhiloxKey(ISeedSequence):
+    """A Philox key handed over as seed state: ``generate_state`` returns its words.
+
+    ``Philox(_PhiloxKey(key))`` has the state of ``Philox(key=key)``, whose
+    ``__init__`` would first read 128 bits of OS entropy only to replace them.
+    """
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        return self.words
+
+
 def replicate_stream(
     master_seed: int, n: int, replicate: int, purpose: int = _PURPOSE_REPLICATE
 ) -> np.random.Generator:
     """Counter-based generator for one replicate, independent of run order.
 
-    Distinct keys give distinct streams.  Raises ValueError, naming the
-    field, for a key field that is not a whole number or does not fit in
-    its bits: 64 for the seed, 32 for n, 30 for the replicate and 2 for
-    the purpose.
+    The stream is Philox keyed by two 64-bit words, the master seed and
+    ``n << 32 | replicate << 2 | purpose``; the key is handed to Philox as
+    its seed state, so no OS entropy is read.  Distinct keys give distinct
+    streams.  Raises ValueError, naming the field, for a key field that is
+    not a whole number or does not fit in its bits: 64 for the seed, 32
+    for n, 30 for the replicate and 2 for the purpose.
     """
     master_seed = _check_key_field("master_seed", master_seed, _SEED_BITS)
     n = _check_key_field("n", n, _SIZE_BITS)
@@ -226,7 +248,7 @@ def replicate_stream(
     purpose = _check_key_field("purpose", purpose, _PURPOSE_BITS)
     context = (n << (_REPLICATE_BITS + _PURPOSE_BITS)) | (replicate << _PURPOSE_BITS) | purpose
     key = np.array([master_seed, context], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
 
 
 def _frozen_gains(model: GainModel, n: int, master_seed: int) -> np.ndarray:
@@ -261,6 +283,69 @@ def _chunk_values(task) -> list[float]:
     return [_replicate_value((model, n, rep, master_seed, gains)) for rep in replicates]
 
 
+# The run's shared chunk counter, set by _share_counter in each pool worker
+# and never in the process that runs the experiment.
+_chunk_counter = None
+
+
+def _share_counter(counter) -> None:
+    """Pool initializer: keep the run's chunk counter for :func:`_take_chunks`."""
+    global _chunk_counter
+    _chunk_counter = counter
+
+
+def _take_chunks(plan) -> list[tuple[int, list[float] | ReplicateError]]:
+    """Run chunks of ``plan``, each index taken from the shared counter, until none is left.
+
+    Returns ``(index, optima)`` for each chunk run here, or ``(index,
+    error)`` for a chunk that stopped at its first :class:`ReplicateError`.
+    """
+    done = []
+    while True:
+        with _chunk_counter.get_lock():
+            index = _chunk_counter.value
+            _chunk_counter.value = index + 1
+        if index >= len(plan):
+            return done
+        try:
+            done.append((index, _chunk_values(plan[index])))
+        except ReplicateError as exc:
+            done.append((index, exc))
+
+
+def _pooled_optima(chunks: list[tuple], jobs: int) -> list[list[float]]:
+    """Run the chunks in one pool of at most ``jobs`` workers; each size's optima, in order.
+
+    The chunks form one plan, largest size first, and each worker gets the
+    plan in one task.  Raises the first failure in serial order.
+    """
+    # Stable, so each size's chunks stay in replicate order.
+    plan = sorted(chunks, key=lambda task: task[1], reverse=True)
+    workers = min(jobs, len(plan))
+    # solve_max_assignment imports scipy.optimize on first use.  Import it
+    # before the pool forks its workers, so they inherit it rather than each
+    # paying the import, in time and in private memory.
+    import scipy.optimize  # noqa: F401
+    counter = multiprocessing.Value("q", 0)
+    pool = ProcessPoolExecutor(max_workers=workers, initializer=_share_counter,
+                               initargs=(counter,))
+    try:
+        done = dict(pair for pairs in pool.map(_take_chunks, [plan] * workers)
+                    for pair in pairs)
+    finally:
+        # Should the run be aborted, no worker takes another chunk.
+        counter.value = len(plan)
+        pool.shutdown(cancel_futures=True)
+    failures = [values for values in done.values() if isinstance(values, ReplicateError)]
+    if failures:
+        # Each chunk stops at its first failure, so the least is the first.
+        raise min(failures, key=lambda exc: (exc.n, exc.replicate))
+    optima = {}
+    for index, task in enumerate(plan):
+        optima.setdefault(task[1], []).extend(done[index])
+    return [optima[n] for n in sorted(optima)]
+
+
 def _report_row(prediction: Prediction, optima: list[float]) -> ReportRow:
     """One size's report row, from that size's replicate optima.
 
@@ -283,58 +368,41 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     computed first, so a size that cannot be predicted fails the run before
     any draw.  Let ``jobs = min(parallelism, os.cpu_count())``.  Each size
     is split into at most ``jobs`` chunks of ``ceil(replicates / jobs)``
-    replicates, and one expression maps the chunks of every size, largest
-    size first.  In process (``jobs == 1``) the mapper is the builtin lazy
-    ``map``: each size is one chunk, run when its results are read, so a
-    quenched run holds one frozen matrix at a time.  Otherwise it is the
-    ``map`` of one process pool of at most as many workers as there are
-    chunks, which queues them all at once.  A quenched chunk draws
-    its size's frozen gain matrix in the process that runs it, so the
-    parent draws none and no task carries one; each replicate draws its
-    costs through :func:`~logassign.gains.generate_cost_matrix`, which
-    checks the gains it is given.  A size's mean and spread
-    come from correctly rounded sums of its replicate optima
-    (``math.fsum``), so they depend on neither the order nor the chunks the
-    optima come back in, and reports do not vary with ``parallelism``.
-    Any replicate failure aborts the run, cancels the chunks still queued,
-    and raises the :class:`ReplicateError` of the first failing
-    (n, replicate) pair in serial order.  A frozen matrix that cannot be
-    drawn, or is not n x n positive finite reals, fails replicate 0 of its
-    size.  A worker process that dies raises
-    ``BrokenProcessPool``.
+    replicates.  In process (``jobs == 1``) each size is one chunk, run by
+    the builtin lazy ``map`` when its row reads it, so a quenched run holds
+    one frozen matrix at a time.  Otherwise one process pool of at most as
+    many workers as there are chunks runs them all: the chunks form one
+    plan, largest size first, each worker gets the plan in one task, takes
+    the next chunk index from a shared ``multiprocessing.Value`` until none
+    is left, and sends back all its results in one message.  So the law is
+    unpickled once per worker, and the cheapest chunks are taken last.  A
+    quenched chunk draws its size's frozen gain matrix in the process that
+    runs it, so the parent draws none and no task carries one; each
+    replicate draws its costs through
+    :func:`~logassign.gains.generate_cost_matrix`, which checks the gains
+    it is given.  A size's mean and spread come from correctly rounded sums
+    of its replicate optima (``math.fsum``), so they depend on neither the
+    order nor the chunks the optima come back in, and reports do not vary
+    with ``parallelism``.  A chunk stops at its first failing replicate,
+    and a run with a failure raises the :class:`ReplicateError` of the
+    first failing (n, replicate) pair in serial order, after its pool has
+    run its other chunks.  A run aborted while it waits for its pool, say
+    by an interrupt, lets each worker finish the chunk it holds and take no
+    other.  A frozen matrix that cannot be drawn, or is not
+    n x n positive finite reals, fails replicate 0 of its size.  A worker
+    process that dies raises ``BrokenProcessPool``.
     """
     m, model, sizes = config.replicates, config.model, config.sizes
     predictions = prediction_table(model, sizes)
     # More workers than CPUs only contend, and the pool forks them all at once.
     jobs = min(config.parallelism, os.cpu_count() or 1)
     chunk = math.ceil(m / jobs)
-
-    def size_chunks(n):
-        return [(model, n, range(m)[start : start + chunk], config.master_seed,
-                 config.mode == QUENCHED) for start in range(0, m, chunk)]
-
-    pool, mapper = None, map
-    try:
-        if jobs > 1:
-            # One chunk per worker and size, and no worker without a chunk.
-            chunks = len(sizes) * math.ceil(m / chunk)
-            # solve_max_assignment imports scipy.optimize on first use.  Import
-            # it before the pool forks its workers, so they inherit it rather
-            # than each paying the import, in time and in private memory.
-            import scipy.optimize  # noqa: F401
-            pool = ProcessPoolExecutor(max_workers=min(jobs, chunks))
-            mapper = pool.map
-        # The pool's map submits at once, so the whole queue stands, largest
-        # size first and cheapest chunks last.  The builtin map is lazy and
-        # runs each size's chunk only as it is read back.
-        by_size = [mapper(_chunk_values, size_chunks(n)) for n in reversed(sizes)][::-1]
-        # Sizes are read back smallest first only so that the first failure
-        # raised is the first in serial order; the sums need no order.
-        rows = tuple(_report_row(prediction, [x for values in results for x in values])
-                     for prediction, results in zip(predictions, by_size))
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+    chunks = [(model, n, range(m)[start : start + chunk], config.master_seed,
+               config.mode == QUENCHED) for n in sizes for start in range(0, m, chunk)]
+    # In process each size is one chunk, run only as its row is read.
+    optima = _pooled_optima(chunks, jobs) if jobs > 1 else map(_chunk_values, chunks)
+    rows = tuple(_report_row(prediction, values)
+                 for prediction, values in zip(predictions, optima))
     return ExperimentReport(
         model=model.spec,
         mode=config.mode,
@@ -364,8 +432,9 @@ def tail_check(
     P(cost >= r) = L(e^r - 1) from
     :func:`~logassign.quantile.tail_probabilities`, and gives their
     difference in standard errors sqrt(p (1 - p) / samples).  Where that
-    error is 0, the z-score is 0 if the two agree and inf otherwise.  A row
-    whose |z| exceeds :data:`TAIL_CHECK_SIGMAS` fails the check.
+    error is 0, the z-score is 0 if the two agree, and otherwise an
+    infinity of the sign of their difference.  A row whose |z| exceeds
+    :data:`TAIL_CHECK_SIGMAS` fails the check.
 
     Raises, before any cost is drawn and in this order:
         ValueError: unless ``samples`` is a whole number from 10**4 to
@@ -385,7 +454,8 @@ def tail_check(
         empirical = float(np.mean(costs >= r))
         spread = math.sqrt(theoretical * (1.0 - theoretical) / samples)
         if spread == 0.0:
-            z = 0.0 if empirical == theoretical else math.inf
+            z = 0.0 if empirical == theoretical else math.copysign(
+                math.inf, empirical - theoretical)
         else:
             z = (empirical - theoretical) / spread
         rows.append(TailFrequency(r, empirical, theoretical, z))

@@ -490,7 +490,7 @@ class DensityGain(GainModel):
     support: each draw takes one uniform from the stream and is its
     quantile within PINV's u-resolution of 1e-10.  The sampler is set up
     once per instance, and again when a pickled instance is loaded, which
-    is milliseconds per pool task.  PINV needs a density that is positive
+    is milliseconds per pool worker.  PINV needs a density that is positive
     on one interval: one that is zero on an interior interval, or that PINV
     cannot interpolate, raises ValueError at construction.
 

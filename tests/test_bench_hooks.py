@@ -14,6 +14,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import math
+import subprocess
 import sys
 from pathlib import Path
 
@@ -65,6 +66,17 @@ def test_a_traced_benchmark_round_keeps_its_bytes_and_reads_every_layer(
     assert set(metrics) == set(units)
     assert all(math.isfinite(value) for value in metrics.values()), metrics
     json.dumps(metrics, allow_nan=False)
+    # Exact counts, so that a worker loop that bypasses a traced name fails
+    # here.  The quenched command asks for two jobs and gets min(2, CPUs);
+    # each job runs one chunk per size, and each chunk draws its size's
+    # frozen matrix once, so its two sizes draw 2 * jobs frozen matrices.
+    cpus = subprocess.run([sys.executable, "-c", "import os; print(os.cpu_count())"],
+                          env=run.child_env(), capture_output=True, text=True, check=True)
+    jobs = min(2, int(cpus.stdout))
+    assert metrics["matching.solve.calls"] == 8 + 6
+    assert metrics["gains.draw.calls"] == 8 + 2 * jobs + 6
+    assert metrics["experiment.stream.calls"] == 8 + 2 * jobs + 6
+    assert metrics["experiment.pool.starts"] == (1 if jobs > 1 else 0)
     # The tracer wraps report_csv_text, so the serialized bytes are those of
     # the two simulate reports; a writer that bypasses it would read 0.
     simulated = [command["text"] for command in traced["commands"][:2]]

@@ -87,6 +87,25 @@ class LoggedDrawGain(ParetoGain):
         return super().sample(rng, size)
 
 
+def _load_logged_gain(log: str) -> LoggedLoadGain:
+    with open(log, "a") as file:
+        file.write(f"{os.getpid()}\n")
+    return LoggedLoadGain(log=log)
+
+
+@dataclass(frozen=True)
+class LoggedLoadGain(ExponentialGain):
+    """Exponential gains that append the loading process to a file on each unpickling.
+
+    Defined at module level so that pool workers can unpickle it.
+    """
+
+    log: str = ""
+
+    def __reduce__(self):
+        return _load_logged_gain, (self.log,)
+
+
 class TwoPointGain(GainModel):
     """Gains 1 or 2 with equal odds: a law defined outside the package.
 
@@ -371,7 +390,7 @@ def test_pool_workers_are_capped_by_the_cpu_count(monkeypatch) -> None:
     asked = []
 
     class RefusingPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             asked.append(max_workers)
             raise RuntimeError("no pool here")
 
@@ -387,15 +406,72 @@ def test_pool_queues_one_chunk_per_worker_and_size_largest_first(pool_maps) -> N
         pool_maps.clear()
         settings = dict(sizes=(3, 4, 6), replicates=7, mode=mode)
         parallel = run_experiment(_config(**settings, parallelism=2))
+        # One map of one task per worker, each task the run's whole plan.
+        (tasks,) = pool_maps
+        assert len(tasks) == 2 and tasks[0] == tasks[1]
+        plan = tasks[0]
         # ceil(7 / 2) = 4 replicates per chunk, so each size makes two chunks.
-        assert [[task[1:3] for task in tasks] for tasks in pool_maps] == [
-            [(n, range(0, 4)), (n, range(4, 7))] for n in (6, 4, 3)]
-        for tasks in pool_maps:
-            # Every replicate of the size exactly once, and no array in a task.
-            assert sorted(rep for task in tasks for rep in task[2]) == list(range(7))
-            assert all(task[4] is (mode == "quenched") for task in tasks)
-            assert not any(isinstance(part, np.ndarray) for task in tasks for part in task)
+        assert [chunk[1:3] for chunk in plan] == [
+            (n, replicates) for n in (6, 4, 3) for replicates in (range(0, 4), range(4, 7))]
+        for n in (3, 4, 6):
+            # Every replicate of the size exactly once.
+            assert sorted(rep for chunk in plan if chunk[1] == n
+                          for rep in chunk[2]) == list(range(7))
+        assert all(chunk[4] is (mode == "quenched") for chunk in plan)
+        # No array in a chunk.
+        assert not any(isinstance(part, np.ndarray) for chunk in plan for part in chunk)
         assert parallel == run_experiment(_config(**settings, parallelism=1))
+
+
+def test_each_pooled_chunk_runs_once_with_more_workers_than_cpus(tmp_path) -> None:
+    # Four workers on a machine of fewer CPUs share one chunk counter.  An
+    # index taken twice would draw its size's frozen matrix twice, and one
+    # never taken would leave its size short of optima.
+    log = tmp_path / "draws.txt"
+    sizes = tuple(range(3, 23))
+    settings = dict(model=LoggedDrawGain(alpha=3.0, log=str(log)), sizes=sizes,
+                    replicates=4, mode="quenched")
+    serial = run_experiment(_config(**settings, parallelism=1))
+    log.unlink()
+    reports = []
+    run = threading.Thread(
+        target=lambda: reports.append(run_experiment(_config(**settings, parallelism=4))))
+    run.start()
+    run.join(timeout=120)
+    assert not run.is_alive()
+    assert reports == [serial]
+    # Chunks of one replicate: four per size, each drawing the matrix once.
+    draws = sorted(int(line.split()[1]) for line in log.read_text().splitlines())
+    assert draws == sorted(4 * sizes)
+
+
+def test_an_aborted_pooled_run_leaves_its_other_chunks_untaken(monkeypatch, tmp_path) -> None:
+    # The run is aborted once its worker tasks are queued, before any result
+    # is read.  Each worker may finish the chunk it holds, but takes no other.
+    class AbortingPool(ProcessPoolExecutor):
+        def map(self, fn, tasks):
+            super().map(fn, tasks)
+            raise RuntimeError("aborted")
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", AbortingPool)
+    log = tmp_path / "draws.txt"
+    log.touch()
+    with pytest.raises(RuntimeError, match="aborted"):
+        run_experiment(_config(model=LoggedDrawGain(alpha=3.0, log=str(log)),
+                               sizes=tuple(range(3, 23)), replicates=4, mode="quenched",
+                               parallelism=2))
+    # 40 chunks, each drawing its size's frozen matrix.
+    assert len(log.read_text().splitlines()) <= 2
+
+
+def test_a_pooled_law_is_loaded_once_per_worker_not_once_per_chunk(tmp_path) -> None:
+    log = tmp_path / "loads.txt"
+    model = LoggedLoadGain(log=str(log))
+    run_experiment(_config(model=model, sizes=(3, 4, 6), replicates=8, parallelism=2))
+    # Six chunks, two per size, on two workers; the parent loads none.
+    loads = log.read_text().split()
+    assert 1 <= len(loads) <= 2
+    assert str(os.getpid()) not in loads
 
 
 def test_pool_tasks_stay_small_whatever_the_size(pool_maps) -> None:
@@ -590,6 +666,23 @@ def test_replicate_streams_are_distinct() -> None:
         for n in (3, 4) for rep in (0, 1, 2)
     }
     assert len(set(draws.values())) == len(draws)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("purpose", [0, 1, 2, 3])
+def test_replicate_stream_is_philox_keyed_by_seed_and_packed_context(seed, purpose) -> None:
+    n, replicate = 2**32 - 1, 2**30 - 1
+    key = np.array([seed, n << 32 | replicate << 2 | purpose], dtype=np.uint64)
+    stream = replicate_stream(seed, n, replicate, purpose)
+    reference = np.random.Generator(np.random.Philox(key=key))
+    state, expected = stream.bit_generator.state, reference.bit_generator.state
+    assert state["bit_generator"] == expected["bit_generator"] == "Philox"
+    for field in ("counter", "key"):
+        assert np.array_equal(state["state"][field], expected["state"][field])
+    assert np.array_equal(state["buffer"], expected["buffer"])
+    assert [state[k] for k in ("buffer_pos", "has_uint32", "uinteger")] == [
+        expected[k] for k in ("buffer_pos", "has_uint32", "uinteger")]
+    assert np.array_equal(stream.random(1000), reference.random(1000))
 
 
 @pytest.mark.parametrize(
@@ -910,7 +1003,14 @@ def test_tail_check_returns_one_row_per_threshold_from_one_draw(monkeypatch) -> 
 def test_tail_check_gives_an_infinite_z_where_a_certain_tail_is_missed(monkeypatch) -> None:
     monkeypatch.setattr(experiment, "tail_probabilities", lambda model, grid: [1.0] * len(grid))
     (row,) = experiment.tail_check(ExponentialGain(), [2.0], samples=10_000)
-    assert row.empirical < 1.0 and row.z_score == math.inf
+    assert row.empirical < 1.0 and row.z_score == -math.inf
+
+
+def test_tail_check_gives_a_positive_infinite_z_where_an_impossible_tail_is_seen(
+        monkeypatch) -> None:
+    monkeypatch.setattr(experiment, "tail_probabilities", lambda model, grid: [0.0] * len(grid))
+    (row,) = experiment.tail_check(ExponentialGain(), [0.5], samples=10_000)
+    assert row.empirical > 0.0 and row.z_score == math.inf
 
 
 @pytest.mark.parametrize("thresholds, samples, seed, error, message", [
