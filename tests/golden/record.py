@@ -1,7 +1,8 @@
 """The golden corpus of report bytes: the cells, and a script that records them.
 
 Each cell is one small command through the CLI, and its file beside this
-script holds the command's exact standard output.  ``tests/test_golden.py``
+script holds the command's exact standard output.  A ``compare`` cell
+reads the recorded CSV of its ``simulate`` cell.  ``tests/test_golden.py``
 runs every cell and compares.  A change that moves report bytes on purpose
 re-records the corpus, so that the move shows as a diff of these files:
 
@@ -35,6 +36,9 @@ CELLS = {
         "simulate", law, "--sizes", "3,4,16", "--replicates", "5", "--mode", mode,
         "--format", fmt)
        for law in LAWS for mode in ("annealed", "quenched") for fmt in ("csv", "json")},
+    **{f"compare-{_name(law)}-{mode}.txt": (
+        "compare", str(HERE / f"simulate-{_name(law)}-{mode}.csv"))
+       for law in LAWS for mode in ("annealed", "quenched")},
     **{f"tail-check-{_name(law)}.csv": ("tail-check", law, "--samples", "20000",
                                         "--thresholds", THRESHOLDS)
        for law in LAWS},
