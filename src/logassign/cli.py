@@ -27,6 +27,7 @@ from pathlib import Path
 
 import click
 
+import logassign
 from .experiment import (
     ANNEALED,
     QUENCHED,
@@ -90,7 +91,9 @@ def parse_sizes(text: str) -> tuple[int, ...]:
 
 
 @click.group()
-@click.version_option(package_name="logassign")
+# The package's own version, so that a source checkout that is not installed
+# answers too.
+@click.version_option(logassign.__version__, package_name="logassign")
 def main():
     """Random assignment with log(1 + gain * fade) link costs.
 

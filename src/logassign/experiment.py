@@ -1,5 +1,10 @@
 """Monte Carlo harness comparing simulated optima against predictions.
 
+A report is the tuple of its rows, one :class:`ReportRow` per size, whose
+fields are the report's columns: the run's model, mode, replicate count
+``m`` and seed, then the size's figures.  The CSV and JSON renderings
+write the rows as they are, and :func:`parse_report_csv` reads them back.
+
 Every replicate draws its randomness from a Philox stream keyed by
 (master seed, size, replicate index), never from shared state, so the
 numbers cannot depend on scheduling; workers may run in any order and the
@@ -40,7 +45,7 @@ import os
 import pickle
 from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -73,20 +78,6 @@ __all__ = [
 
 ANNEALED = "annealed"
 QUENCHED = "quenched"
-
-REPORT_COLUMNS = (
-    "model",
-    "mode",
-    "n",
-    "m",
-    "seed",
-    "empirical_mean",
-    "std_error",
-    "predicted_numeric",
-    "predicted_asymptotic",
-    "rel_err_numeric",
-    "rel_err_asymptotic",
-)
 
 _PURPOSE_REPLICATE = 0
 _PURPOSE_QUENCHED_GAINS = 1
@@ -166,16 +157,21 @@ class ExperimentConfig:
                                  "use parallelism=1 or a module-level density") from None
 
 
-@dataclass(frozen=True)
-class ReportRow:
-    """One size's figures.
+class ReportRow(NamedTuple):
+    """One size's row of a report; its fields are the columns.
 
+    ``m`` is the row's replicate count and ``seed`` the run's master seed.
     Rows are equal, and hash alike, when they write the same record: each
-    float is compared by its :func:`real_text`, so a NaN equals a NaN, as
-    in the CSV.  Reports compare their rows this way.
+    of the six figures after ``seed`` is compared by its :func:`real_text`,
+    so a NaN equals a NaN, as in the CSV.  Reports, which are tuples of
+    rows, compare their rows this way.
     """
 
+    model: str
+    mode: str
     n: int
+    m: int
+    seed: int
     empirical_mean: float
     std_error: float
     predicted_numeric: float
@@ -184,24 +180,25 @@ class ReportRow:
     rel_err_asymptotic: float
 
     def _written(self) -> tuple:
-        return (self.n, *map(real_text, astuple(self)[1:]))
+        return (*self[:5], *map(real_text, self[5:]))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._written() == other._written()
 
+    # tuple's own != does not consult __eq__.
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
     def __hash__(self):
         return hash(self._written())
 
 
-@dataclass(frozen=True)
-class ExperimentReport:
-    model: str
-    mode: str
-    replicates: int
-    master_seed: int
-    rows: tuple[ReportRow, ...]
+REPORT_COLUMNS = ReportRow._fields
+# A report is its rows, one per size in increasing order.
+ExperimentReport = tuple[ReportRow, ...]
 
 
 def _check_key_field(name: str, value, bits: int) -> int:
@@ -346,23 +343,28 @@ def _pooled_optima(chunks: list[tuple], jobs: int) -> list[list[float]]:
     return [optima[n] for n in sorted(optima)]
 
 
-def _report_row(prediction: Prediction, optima: list[float]) -> ReportRow:
-    """One size's report row, from that size's replicate optima.
+def _report_row(config: ExperimentConfig, prediction: Prediction,
+                optima: list[float]) -> ReportRow:
+    """One size's report row, from the run's config and that size's replicate optima.
 
     Both sums are correctly rounded (``math.fsum``), so the row does not
     depend on the order of the optima.
     """
     n, _, _, numeric, asymptotic = prediction
-    m = len(optima)
+    m = config.replicates
     mean = math.fsum(optima) / m
     spread = math.fsum((x - mean) ** 2 for x in optima)
     std_error = math.sqrt(spread / (m - 1)) / math.sqrt(m)
-    return ReportRow(n, mean, std_error, numeric, asymptotic,
-                     abs(numeric - mean) / mean, abs(asymptotic - mean) / mean)
+    return ReportRow(config.model.spec, config.mode, n, m, config.master_seed, mean,
+                     std_error, numeric, asymptotic, abs(numeric - mean) / mean,
+                     abs(asymptotic - mean) / mean)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Simulate every configured size and attach both predictions.
+    """Simulate every configured size and attach both predictions, one row per size.
+
+    Each :class:`ReportRow` carries the config's model spec, mode,
+    replicate count and master seed beside its size's figures.
 
     The predictions are one :func:`~logassign.quantile.prediction_table`,
     computed first, so a size that cannot be predicted fails the run before
@@ -401,15 +403,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                config.mode == QUENCHED) for n in sizes for start in range(0, m, chunk)]
     # In process each size is one chunk, run only as its row is read.
     optima = _pooled_optima(chunks, jobs) if jobs > 1 else map(_chunk_values, chunks)
-    rows = tuple(_report_row(prediction, values)
+    return tuple(_report_row(config, prediction, values)
                  for prediction, values in zip(predictions, optima))
-    return ExperimentReport(
-        model=model.spec,
-        mode=config.mode,
-        replicates=m,
-        master_seed=config.master_seed,
-        rows=rows,
-    )
 
 
 class TailFrequency(NamedTuple):
@@ -441,6 +436,10 @@ def tail_check(
             10**8; unless ``seed`` fits in 64 unsigned bits; unless every
             threshold lies in [0, log(DBL_MAX)].
         QuadratureError: where the transform fails at a threshold.
+
+    Then, after the draw:
+        ValueError: unless every drawn gain is a positive finite real, as
+            :func:`~logassign.gains.sample_cost` checks.
     """
     samples = gain_laws._whole_number("samples", samples)
     if not _MIN_SAMPLES <= samples <= _MAX_SAMPLES:
@@ -519,24 +518,22 @@ def _csv_field(value) -> str:
     return out.getvalue()[:-2]
 
 
-def _report_records(report: ExperimentReport):
-    """Yield each row of the report as a tuple in ``REPORT_COLUMNS`` order."""
-    for row in report.rows:
-        yield (report.model, report.mode, row.n, report.replicates,
-               report.master_seed, *astuple(row)[1:])
-
-
 def report_csv_text(report: ExperimentReport) -> str:
     """Render a report as CSV, one line per size; reals carry 17 digits."""
-    return table_text(REPORT_COLUMNS, _report_records(report), "csv")
+    return table_text(REPORT_COLUMNS, report, "csv")
 
 
 def parse_report_csv(text: str) -> ExperimentReport:
-    """Rebuild a report from its CSV rendering; exact for 17-digit reals.
+    """Rebuild a report, its rows in file order, from its CSV rendering.
+
+    Each line is one :class:`ReportRow`, exact for 17-digit reals; blank
+    lines are skipped.
 
     Raises:
         ValueError: for text that is not such a rendering, including text
-            the CSV reader itself cannot read.
+            the CSV reader itself cannot read, and for a report whose rows
+            differ in model, mode, m or seed, at the first line that
+            differs from the first row.
     """
     try:
         records = list(csv.reader(io.StringIO(text)))
@@ -547,45 +544,46 @@ def parse_report_csv(text: str) -> ExperimentReport:
     header = tuple(records[0])
     if header != REPORT_COLUMNS:
         raise ValueError(f"unexpected report header {header!r}")
-    meta: tuple[str, str, int, int] | None = None
-    rows = []
+    rows: list[ReportRow] = []
     for record in records[1:]:
         if not record:
             continue
         if len(record) != len(REPORT_COLUMNS):
             raise ValueError(f"malformed report line {record!r}")
         model, mode, n, m, seed, *floats = record
-        this_meta = (model, mode, int(m), int(seed))
-        if meta is None:
-            meta = this_meta
-        elif meta != this_meta:
+        meta = (model, mode, int(m), int(seed))
+        if rows and meta != (rows[0].model, rows[0].mode, rows[0].m, rows[0].seed):
             raise ValueError("report mixes runs with different metadata")
-        rows.append(ReportRow(int(n), *map(float, floats)))
-    if meta is None:
+        rows.append(ReportRow(model, mode, int(n), *meta[2:], *map(float, floats)))
+    if not rows:
         raise ValueError("report has no data rows")
-    return ExperimentReport(*meta, rows=tuple(rows))
+    return tuple(rows)
 
 
 def report_json_text(report: ExperimentReport) -> str:
     """JSON rendering mirroring the CSV fields one for one; NaN is null."""
-    return table_text(REPORT_COLUMNS, _report_records(report), "json")
+    return table_text(REPORT_COLUMNS, report, "json")
 
 
 def compare_report(report: ExperimentReport) -> str:
-    """Readable per-size error table with the summary lines below it."""
+    """Readable per-size error table with the summary lines below it.
+
+    The header line gives the first row's model, mode, m and seed; the
+    report must have at least one row.
+    """
+    first = report[0]
     lines = [
-        f"model={report.model} mode={report.mode} "
-        f"m={report.replicates} seed={report.master_seed}",
+        f"model={first.model} mode={first.mode} m={first.m} seed={first.seed}",
         f"{'n':>6}  {'empirical':>14}  {'rel_err_numeric':>16}  "
         f"{'rel_err_asymptotic':>18}",
     ]
-    for row in report.rows:
+    for row in report:
         lines.append(
             f"{row.n:>6}  {row.empirical_mean:>14.6f}  "
             f"{row.rel_err_numeric:>16.6f}  {row.rel_err_asymptotic:>18.6f}"
         )
-    worst = max(report.rows, key=lambda row: row.rel_err_numeric)
-    asym = [row.rel_err_asymptotic for row in report.rows]
+    worst = max(report, key=lambda row: row.rel_err_numeric)
+    asym = [row.rel_err_asymptotic for row in report]
     lines.append(
         f"max rel_err_numeric {worst.rel_err_numeric:.6f} at n={worst.n}"
     )

@@ -593,8 +593,6 @@ class DensityGain(GainModel):
             pieces[1] = (lambda u: integrand(peak / u) * peak / (u * u), 0.0, 1.0)
         total = estimate = 0.0
         for fn, a, b in pieces:
-            if not a < b:
-                continue
             value, err = _integral(fn, a, b, _DENSITY_LABEL)
             # Every piece ends at the peak, where the integrand is positive,
             # so a piece worth exactly 0 is one whose nodes all missed its mass.
@@ -613,6 +611,11 @@ class DensityGain(GainModel):
         height = self._pdf.pdf(y)
         return -math.inf if height <= 0.0 else math.log(height)
 
+    # Where the density is 0 the search's objective is infinite, and for rho
+    # near DBL_MAX its grid overflows.  Its steps then meet inf - inf, 0 * inf
+    # or an overflow; a NaN makes the bounded search report no success, and
+    # the grid point stands.  So these pass without a warning.
+    @np.errstate(invalid="ignore", over="ignore")
     def _exponent_peak(self, rho: float) -> float:
         lo = max(self.lower, 1e-12)
         hi = self._cut if math.isfinite(self.upper) else max(self._cut, 10.0 * rho)
@@ -660,6 +663,24 @@ def _whole_number(name: str, value) -> int:
     return whole
 
 
+def _top_gain(gains: np.ndarray, what: str) -> float:
+    """The largest entry of the float array ``gains``.
+
+    Raises ValueError, naming ``what`` and the failed bound, unless every
+    entry is a positive finite real.
+    """
+    # NaN propagates through min and max, so two reductions cover every entry
+    # without a temporary of the array's size.
+    if not gains.min() > 0.0:
+        raise ValueError(f"{what} must be positive finite reals: "
+                         "an entry is zero, negative or NaN")
+    top = gains.max()
+    if not top < math.inf:
+        raise ValueError(f"{what} must be positive finite reals: "
+                         "a gain overflows a double")
+    return top
+
+
 def _checked_gains(gains, n: int) -> tuple[np.ndarray, float]:
     """``gains`` as a float array, and its largest entry.
 
@@ -668,16 +689,7 @@ def _checked_gains(gains, n: int) -> tuple[np.ndarray, float]:
     gains = np.asarray(gains, dtype=float)
     if gains.shape != (n, n):
         raise ValueError(f"gain matrix shape {gains.shape} does not match n = {n}")
-    # NaN propagates through min and max, so two reductions cover every entry
-    # without an n x n temporary.
-    if not gains.min() > 0.0:
-        raise ValueError("gain matrix entries must be positive finite reals: "
-                         "an entry is zero, negative or NaN")
-    top = gains.max()
-    if not top < math.inf:
-        raise ValueError("gain matrix entries must be positive finite reals: "
-                         "a gain overflows a double")
-    return gains, top
+    return gains, _top_gain(gains, "gain matrix entries")
 
 
 def _log_costs(gains, top: float, rng: np.random.Generator, size) -> np.ndarray:
@@ -714,12 +726,14 @@ def sample_cost(model: GainModel, rng: np.random.Generator, size=None):
     A float when ``size`` is None, else an ndarray.  The float is the one
     cost of ``size=1``, bit for bit: its gain is drawn as an array too,
     since a law's scalar draw may round differently (Pareto's float power
-    is libm's, its array power numpy's).
+    is libm's, its array power numpy's).  Raises ValueError, after the
+    gains are drawn and before the fades, unless every gain is a positive
+    finite real.
     """
     if size is None:
         return float(sample_cost(model, rng, size=1)[0])
-    gains = model.sample(rng, size=size)
-    return _log_costs(gains, np.max(gains), rng, size)
+    gains = np.asarray(model.sample(rng, size=size), dtype=float)
+    return _log_costs(gains, _top_gain(gains, "sampled gains"), rng, size)
 
 
 def generate_cost_matrix(

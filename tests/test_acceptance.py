@@ -140,10 +140,10 @@ def test_a4_transform_asymptotics_converge() -> None:
 
 
 def test_a5_desk_scale_experiment_reproduces_error_pattern(desk_scale_report) -> None:
-    rows = {row.n: row for row in desk_scale_report.rows}
+    rows = {row.n: row for row in desk_scale_report}
     small = rows[10].rel_err_numeric
     large = rows[200].rel_err_numeric
-    asym = [row.rel_err_asymptotic for row in desk_scale_report.rows]
+    asym = [row.rel_err_asymptotic for row in desk_scale_report]
     band_small = 0.025 <= small <= 0.07
     trend = large < small
     band_asym = all(0.20 <= value <= 0.40 for value in asym)
@@ -168,8 +168,8 @@ def test_a6_frozen_gains_resemble_fresh_gains(desk_scale_report) -> None:
             master_seed=1,
         )
     )
-    annealed_mean = next(r for r in desk_scale_report.rows if r.n == 100).empirical_mean
-    quenched_mean = quenched.rows[0].empirical_mean
+    annealed_mean = next(r for r in desk_scale_report if r.n == 100).empirical_mean
+    quenched_mean = quenched[0].empirical_mean
     gap = abs(quenched_mean - annealed_mean) / annealed_mean
     elapsed = time.perf_counter() - start
     ok = gap <= 0.05 and elapsed < 120.0

@@ -291,7 +291,7 @@ def test_predict_steep_pareto_matches_a_40_digit_root() -> None:
 def test_simulate_steep_pareto_finishes() -> None:
     result = _run("simulate", "pareto:1000", "--sizes", "3,10", "--replicates", "2")
     assert result.exit_code == 0, result.output
-    assert [row.n for row in parse_report_csv(result.output).rows] == [3, 10]
+    assert [row.n for row in parse_report_csv(result.output)] == [3, 10]
 
 
 def test_predict_rejects_bad_model_with_grammar_hint() -> None:
@@ -318,8 +318,8 @@ def test_simulate_emits_parseable_deterministic_csv() -> None:
     first = _run(*args)
     assert first.exit_code == 0
     report = parse_report_csv(first.output)
-    assert [row.n for row in report.rows] == [3, 5]
-    assert report.master_seed == 11
+    assert [row.n for row in report] == [3, 5]
+    assert report[0].seed == 11
     assert _run(*args).output == first.output
 
 

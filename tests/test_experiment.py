@@ -9,9 +9,10 @@ import os
 import pickle
 import re
 import threading
+import warnings
 import weakref
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -24,7 +25,9 @@ from logassign import (
     ExponentialGain,
     GainModel,
     ParetoGain,
+    REPORT_COLUMNS,
     ReplicateError,
+    ReportRow,
     UniformGain,
     asymptotic_prediction,
     asymptotic_quantile,
@@ -650,7 +653,7 @@ def test_quenched_constant_gain_equals_annealed() -> None:
     # must agree to the last bit.
     annealed = run_experiment(_config(model=ConstantGain(1.3), mode="annealed"))
     quenched = run_experiment(_config(model=ConstantGain(1.3), mode="quenched"))
-    assert annealed.rows == quenched.rows
+    assert [row._replace(mode="quenched") for row in annealed] == list(quenched)
 
 
 def test_quenched_runs_reuse_one_gain_matrix_per_size() -> None:
@@ -702,16 +705,32 @@ def test_replicate_stream_rejects_a_key_it_cannot_pack(key, message) -> None:
 
 def test_report_carries_metadata_and_monotone_sizes() -> None:
     report = run_experiment(_config())
-    assert report.model == "exp"
-    assert report.mode == "annealed"
-    assert report.replicates == 6
-    assert report.master_seed == 42
-    assert [row.n for row in report.rows] == [3, 5]
-    for row in report.rows:
+    assert report[0].model == "exp"
+    assert report[0].mode == "annealed"
+    assert report[0].m == 6
+    assert report[0].seed == 42
+    assert [row.n for row in report] == [3, 5]
+    for row in report:
         assert row.std_error > 0.0
         assert row.rel_err_numeric == abs(
             row.predicted_numeric - row.empirical_mean
         ) / row.empirical_mean
+
+
+@pytest.mark.parametrize("mode", ["annealed", "quenched"])
+def test_a_report_row_is_its_columns_and_carries_its_run(mode: str) -> None:
+    assert REPORT_COLUMNS == ReportRow._fields == (
+        "model", "mode", "n", "m", "seed", "empirical_mean", "std_error",
+        "predicted_numeric", "predicted_asymptotic", "rel_err_numeric",
+        "rel_err_asymptotic")
+    config = _config(model=ParetoGain(2.0), sizes=(3, 4, 7), replicates=5, mode=mode,
+                     master_seed=7)
+    report = run_experiment(config)
+    assert tuple(report_csv_text(report).splitlines()[0].split(",")) == REPORT_COLUMNS
+    objects = json.loads(report_json_text(report))
+    assert [tuple(record) for record in objects] == [REPORT_COLUMNS] * len(config.sizes)
+    assert [(row.model, row.mode, row.n, row.m, row.seed) for row in report] == [
+        ("pareto:2.0", mode, n, 5, 7) for n in config.sizes]
 
 
 @pytest.mark.slow
@@ -719,7 +738,7 @@ def test_mean_optimum_grows_with_size() -> None:
     report = run_experiment(
         _config(sizes=(10, 20, 40), replicates=100, master_seed=9)
     )
-    means = [row.empirical_mean for row in report.rows]
+    means = [row.empirical_mean for row in report]
     assert means[0] < means[1] < means[2]
 
 
@@ -790,8 +809,8 @@ def test_failed_replicate_is_located_exactly_under_a_pool() -> None:
 def test_density_run_reports_nan_asymptotics() -> None:
     flat = DensityGain(density=_flat_density, lower=0.5, upper=1.5)
     report = run_experiment(_config(model=flat, sizes=(3, 5), parallelism=2))
-    assert report.model == "density"
-    for row in report.rows:
+    assert report[0].model == "density"
+    for row in report:
         assert math.isfinite(row.empirical_mean)
         assert math.isfinite(row.predicted_numeric)
         assert math.isfinite(row.rel_err_numeric)
@@ -812,7 +831,7 @@ def test_report_json_writes_nan_as_null() -> None:
     (record,) = json.loads(report_json_text(report), parse_constant=reject)
     assert record["predicted_asymptotic"] is None
     assert record["rel_err_asymptotic"] is None
-    assert record["empirical_mean"] == report.rows[0].empirical_mean
+    assert record["empirical_mean"] == report[0].empirical_mean
 
 
 def test_a_model_defined_outside_the_package_runs_end_to_end() -> None:
@@ -821,12 +840,12 @@ def test_a_model_defined_outside_the_package_runs_end_to_end() -> None:
         report = run_experiment(
             _config(model=model, sizes=(3, 16), mode=mode, parallelism=2)
         )
-        assert report.model == "two-point"
+        assert report[0].model == "two-point"
         assert parse_report_csv(report_csv_text(report)) == report
-        assert [row.predicted_asymptotic for row in report.rows] == [
+        assert [row.predicted_asymptotic for row in report] == [
             3 * math.log(math.log(3)), 16 * math.log(math.log(16))
         ]
-        for row in report.rows:
+        for row in report:
             assert math.isfinite(row.empirical_mean)
             assert math.isfinite(row.rel_err_numeric)
     assert asymptotic_quantile(model, 1e-4) == math.log1p(2.0 * -math.log(1e-4))
@@ -840,7 +859,7 @@ def test_each_row_is_the_fsum_mean_and_spread_of_its_own_optima(mode, parallelis
     config = _config(model=ParetoGain(2.5), sizes=(4, 7), replicates=11, mode=mode,
                      parallelism=parallelism)
     m = config.replicates
-    for row in run_experiment(config).rows:
+    for row in run_experiment(config):
         frozen = (experiment._frozen_gains(config.model, row.n, config.master_seed)
                   if mode == "quenched" else None)
         optima = [experiment._replicate_value((config.model, row.n, rep,
@@ -894,7 +913,7 @@ def test_a_report_whose_model_name_needs_quoting_round_trips(spec: str) -> None:
     quoted = '"' + spec.replace('"', '""') + '"'
     assert text.split("\n", 1)[1].startswith(quoted + ",annealed,3,")
     assert parse_report_csv(text) == report
-    assert parse_report_csv(text).model == spec
+    assert parse_report_csv(text)[0].model == spec
 
 
 @pytest.mark.parametrize("mode", ["annealed", "quenched"])
@@ -904,13 +923,13 @@ def test_reports_are_equal_when_their_csv_is(mode: str) -> None:
     config = _config(model=DensityGain(density=_tent_density, lower=0.0, upper=2.0),
                      sizes=(3, 5), replicates=3, mode=mode)
     report = run_experiment(config)
-    assert math.isnan(report.rows[0].predicted_asymptotic)
+    assert math.isnan(report[0].predicted_asymptotic)
     for same in (run_experiment(config), parse_report_csv(report_csv_text(report))):
         assert same == report
         assert hash(same) == hash(report)
-    row = report.rows[1]
-    changed = replace(row, std_error=math.nextafter(row.std_error, 0.0))
-    other = replace(report, rows=(report.rows[0], changed))
+    row = report[1]
+    changed = row._replace(std_error=math.nextafter(row.std_error, 0.0))
+    other = (report[0], changed)
     assert report_csv_text(other) != report_csv_text(report)
     assert other != report
     assert changed != row
@@ -951,7 +970,7 @@ def test_report_json_mirrors_csv_fields() -> None:
 
     report = run_experiment(_config())
     payload = json.loads(report_json_text(report))
-    assert len(payload) == len(report.rows)
+    assert len(payload) == len(report)
     first = payload[0]
     assert set(first) == {
         "model", "mode", "n", "m", "seed", "empirical_mean", "std_error",
@@ -959,17 +978,17 @@ def test_report_json_mirrors_csv_fields() -> None:
         "rel_err_asymptotic",
     }
     assert first["model"] == "exp"
-    assert first["empirical_mean"] == report.rows[0].empirical_mean
+    assert first["empirical_mean"] == report[0].empirical_mean
 
 
 def test_compare_report_summarizes_extremes() -> None:
     report = run_experiment(_config(sizes=(4, 6, 9)))
     text = compare_report(report)
-    worst = max(report.rows, key=lambda row: row.rel_err_numeric)
+    worst = max(report, key=lambda row: row.rel_err_numeric)
     assert f"at n={worst.n}" in text
     assert "max rel_err_numeric" in text
     assert "rel_err_asymptotic range [" in text
-    assert text.count("\n") == len(report.rows) + 4
+    assert text.count("\n") == len(report) + 4
 
 
 # --- tail_check -------------------------------------------------------------
@@ -1030,6 +1049,30 @@ def test_tail_check_refuses_before_any_draw_in_order(
     with pytest.raises(error, match=message):
         experiment.tail_check(ExponentialGain(), thresholds, samples=samples, seed=seed)
     assert draws == []
+
+
+@dataclass(frozen=True)
+class ConstantDrawGain(ExponentialGain):
+    """The exponential law's transform, with every gain drawn as ``value``."""
+
+    value: float = -1.0
+
+    def sample(self, rng, size=None):
+        return np.full(size, self.value)
+
+
+@pytest.mark.parametrize("value, bound", [
+    (-1.0, "an entry is zero, negative or NaN"),
+    (math.nan, "an entry is zero, negative or NaN"),
+    (math.inf, "a gain overflows a double"),
+], ids=["negative", "nan", "inf"])
+def test_tail_check_refuses_gains_that_are_not_positive_finite_reals(value, bound) -> None:
+    # Checked after the draw, by the check a cost matrix's gains pass.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^sampled gains must be positive finite "
+                                             f"reals: {bound}$"):
+            experiment.tail_check(ConstantDrawGain(value), [0.5], samples=10_000)
 
 
 def test_tail_check_refuses_a_failing_transform_before_any_draw(monkeypatch) -> None:

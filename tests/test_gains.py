@@ -8,6 +8,7 @@ import math
 import pickle
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -532,6 +533,17 @@ def test_user_density_transform_holds_while_the_density_is_a_normal_double() -> 
     # Here the quadrature of the underflowed density would converge, to a wrong value.
     with pytest.raises(QuadratureError, match="below the normal doubles"):
         as_density.log_laplace(4e6)
+
+
+@pytest.mark.parametrize("r", [13.15, 500.0])
+def test_user_density_peak_search_past_the_density_raises_without_a_warning(r) -> None:
+    # Beyond y = 745 exp(-y) is 0, so the peak search meets an infinite
+    # objective; its NaN steps must not warn.
+    as_density = DensityGain(density=lambda y: math.exp(-y), lower=0.0, upper=math.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError, match="below the normal doubles"):
+            as_density.log_laplace(math.expm1(r))
 
 
 def test_user_density_must_be_normalized() -> None:

@@ -1,9 +1,9 @@
 """Every law, mode and format keeps its report bytes.
 
 The corpus under ``tests/golden/`` holds the exact output of one small
-``predict``, ``simulate`` or ``tail-check`` command per cell, recorded by
-``tests/golden/record.py``.  A change that moves report bytes fails here,
-and a deliberate move shows as a diff of those files.
+``predict``, ``simulate``, ``compare`` or ``tail-check`` command per cell,
+recorded by ``tests/golden/record.py``.  A change that moves report bytes
+fails here, and a deliberate move shows as a diff of those files.
 """
 
 from __future__ import annotations

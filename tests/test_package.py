@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 import logassign
+from golden.record import CELLS, HERE
 from logassign import cli, experiment, gains, matching, quantile
 
 MODULES = (experiment, gains, matching, quantile)
@@ -54,24 +55,34 @@ def test_asymptotic_prediction_resolves_in_the_package() -> None:
 _HEAVY = ("scipy.integrate", "scipy.optimize", "scipy.stats")
 
 
-def _loaded_after(tmp_path: Path, script: str) -> list[str]:
-    """Which of ``_HEAVY`` a fresh interpreter has loaded after ``script``."""
+def _fresh_python(tmp_path: Path, *args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter in ``tmp_path`` that imports this package."""
     package_root = str(Path(logassign.__file__).resolve().parent.parent)
     search_path = [package_root, os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, search_path))}
+    return subprocess.run([sys.executable, *args], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120, check=False)
+
+
+def test_the_module_entry_point_runs_the_command_line(tmp_path) -> None:
+    version = _fresh_python(tmp_path, "-m", "logassign", "--version")
+    assert version.returncode == 0, version.stderr
+    assert version.stdout.endswith(f", version {logassign.__version__}\n")
+    predict = _fresh_python(tmp_path, "-m", "logassign", *CELLS["predict-exp.csv"])
+    assert predict.returncode == 0, predict.stderr
+    assert predict.stdout == (HERE / "predict-exp.csv").read_text()
+
+
+def _loaded_after(tmp_path: Path, script: str) -> list[str]:
+    """Which of ``_HEAVY`` a fresh interpreter has loaded after ``script``."""
     code = script + f"\nprint(json.dumps([m for m in {_HEAVY!r} if m in sys.modules]))\n"
-    completed = subprocess.run(
-        [sys.executable, "-c", "import json, sys\n" + code],
-        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120, check=False,
-    )
+    completed = _fresh_python(tmp_path, "-c", "import json, sys\n" + code)
     assert completed.returncode == 0, completed.stderr
     return json.loads(completed.stdout.splitlines()[-1])
 
 
 def test_commands_without_quadrature_or_solver_load_neither(tmp_path) -> None:
-    report = experiment.ExperimentReport(
-        "exp", "annealed", 2, 0, (experiment.ReportRow(3, 2.5, 0.1, 2.4, 2.2, 0.04, 0.12),)
-    )
+    report = (experiment.ReportRow("exp", "annealed", 3, 2, 0, 2.5, 0.1, 2.4, 2.2, 0.04, 0.12),)
     (tmp_path / "report.csv").write_text(experiment.report_csv_text(report))
     commands = [
         ["predict", "exp", "10..1000:10"],
