@@ -153,8 +153,8 @@ class ExperimentConfig:
             try:
                 pickle.dumps(self.model)
             except (pickle.PicklingError, AttributeError, TypeError) as exc:
-                raise ValueError(f"model cannot be sent to worker processes ({exc}); "
-                                 "use parallelism=1 or a module-level density") from None
+                raise ValueError(f"model cannot be sent to worker processes ({exc}); use "
+                                 "parallelism=1 or define the law at module level") from None
 
 
 class ReportRow(NamedTuple):

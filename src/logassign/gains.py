@@ -8,13 +8,14 @@ its logarithm in closed form through scipy's special functions, within
 1e-13 (relative beyond 1) of a 40-digit reference for every rho that is a
 double.  Short series take over where those functions underflow, lose their
 way or round a tiny value away.  The one exception is Pareto's far tail,
-one quadrature per alpha in a process.  Each built-in law writes its
-branches once, as array code, so that the quantile solver evaluates many
-rho in one call and a single rho is a batch of one.  A user-supplied
-density is integrated by adaptive quadrature after factoring the integrand
-maximum out of the exponent, which keeps the working range of the
-integrator away from underflow however large rho becomes, as long as the
-density itself does not underflow (see ``DensityGain``).
+one quadrature per alpha in a process.  A law is two array functions, a
+draw of gains and the log transform over a float array of rho, so that
+the quantile solver evaluates many rho in one call and a single rho is a
+batch of one.  A user-supplied density is integrated by adaptive
+quadrature after factoring the integrand maximum out of the exponent, which
+keeps the working range of the integrator away from underflow however large
+rho becomes, as long as the density itself does not underflow (see
+``DensityGain``).
 
 Of scipy, importing this module loads ``scipy.special`` alone.  The
 functions that integrate import ``scipy.integrate``, and ``DensityGain``'s
@@ -145,22 +146,22 @@ def _checked_log(total: float, estimate: float, label: str) -> float:
 class GainModel:
     """Law of the nonnegative gain coefficient attached to each link.
 
-    A law defines ``sample``, ``spec``, the name it carries in reports, and
-    its transform in one of two forms: ``_log_laplace(rho)`` for one float,
-    or ``_log_laplace_batch(rho)`` for a float array of positive finite rho.
-    The base class bridges them.  By default the scalar form is the batch
-    form at one point, and ``_log_laplace_values``, through which the
-    quantile solver evaluates many points at once, calls ``log_laplace`` at
-    each point unless the law gives the batch form and overrides neither
-    ``log_laplace`` nor ``_log_laplace``.  A law that gives neither form
-    raises NotImplementedError.
+    A law defines ``spec``, the name it carries in reports, and two array
+    functions: ``sample(rng, size)``, which draws an ndarray of gains of
+    shape ``size``, and ``_log_laplace_batch(rho)``, the log transform at
+    each element of a float array of positive finite rho.  Every value of
+    the transform, ``log_laplace`` at one rho included, is read through
+    ``_log_laplace_values``, which clamps it to 0.  A law that defines no
+    transform raises NotImplementedError when one is asked for, and a
+    subclass that defines ``_log_laplace`` or ``log_laplace`` is refused
+    with TypeError when it is defined.
 
-    The built-in laws give the batch form, over the branches and in the
-    operation order of scalar code.  Their log and log1p go through libm
-    one element at a time, since numpy's own differ from it in the last
-    bit, while numpy's arithmetic and sqrt and scipy's special functions
-    give the same bits on arrays as on floats.  So a point's value does not
-    depend on the batch it is evaluated in.
+    The built-in laws follow the branches and the operation order of
+    scalar code.  Their log and log1p go through libm one element at a
+    time, since numpy's own differ from it in the last bit, while numpy's
+    arithmetic and sqrt and scipy's special functions give the same bits
+    on arrays as on floats.  So a point's value does not depend on the
+    batch it is evaluated in.
 
     A law may state an error bound E: every value ``_log_laplace_values``
     gives is within E * max(1, |exact|) of the exact log transform.  The
@@ -179,8 +180,15 @@ class GainModel:
 
     spec: str
 
-    def sample(self, rng: np.random.Generator, size=None):
-        """Draw gains: a float when ``size`` is None, else an ndarray."""
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        for name in ("_log_laplace", "log_laplace"):
+            if name in vars(cls):
+                raise TypeError(f"gain model {cls.__name__} defines {name}: a law gives "
+                                "its transform as _log_laplace_batch(rho), over an array")
+
+    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
+        """Draw an ndarray of gains of shape ``size``."""
         raise NotImplementedError
 
     def log_laplace(self, rho: float) -> float:
@@ -197,7 +205,7 @@ class GainModel:
             return 0.0
         if math.isinf(rho):
             return -math.inf
-        return min(self._log_laplace(rho), 0.0)
+        return float(self._log_laplace_values(np.array([rho]))[0])
 
     def log_laplace_asymptotic(self, rho: float) -> float:
         """Leading-order form of :meth:`log_laplace` for large rho."""
@@ -206,20 +214,12 @@ class GainModel:
             raise ValueError("rho must be a positive finite real")
         return self._log_laplace_asymptotic(rho)
 
-    def _log_laplace(self, rho: float) -> float:
-        # Overflow gives inf and inf - inf gives NaN silently, as for floats.
-        with np.errstate(over="ignore", invalid="ignore"):
-            return float(self._log_laplace_batch(np.array([rho]))[0])
-
     def _log_laplace_batch(self, rho: np.ndarray) -> np.ndarray:
-        raise NotImplementedError(f"gain model {type(self).__name__} defines no transform")
+        raise NotImplementedError(f"gain model {type(self).__name__} lacks _log_laplace_batch")
 
     def _log_laplace_values(self, rho: np.ndarray) -> np.ndarray:
         """:meth:`log_laplace` at each element of a float array of positive finite rho."""
-        cls = type(self)
-        if cls.log_laplace is not GainModel.log_laplace or (
-                cls._log_laplace is not GainModel._log_laplace):
-            return _elementwise(self.log_laplace)(rho)
+        # Overflow gives inf and inf - inf gives NaN silently, as for floats.
         with np.errstate(over="ignore", invalid="ignore"):
             values = self._log_laplace_batch(rho)
         # min(value, 0.0) of log_laplace, NaN and -0.0 included.
@@ -260,9 +260,7 @@ class ConstantGain(GainModel):
         if not math.isfinite(self.value) or self.value <= 0.0:
             raise ValueError("constant gain must be a positive finite real")
 
-    def sample(self, rng: np.random.Generator, size=None):
-        if size is None:
-            return self.value
+    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         return np.full(size, self.value, dtype=float)
 
     def _log_laplace_batch(self, rho: np.ndarray) -> np.ndarray:
@@ -288,7 +286,7 @@ class ExponentialGain(GainModel):
 
     spec = "exp"
 
-    def sample(self, rng: np.random.Generator, size=None):
+    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         # The bits and stream position of rng.exponential(size=size), whose
         # scale 1.0 only adds an exact multiply.
         return rng.standard_exponential(size=size)
@@ -338,7 +336,7 @@ class UniformGain(GainModel):
 
     spec = "uniform"
 
-    def sample(self, rng: np.random.Generator, size=None):
+    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         return rng.random(size=size)
 
     def _log_laplace_batch(self, rho: np.ndarray) -> np.ndarray:
@@ -411,7 +409,7 @@ class ParetoGain(GainModel):
             v **= -1.0 / (self.alpha - 1.0)
         return v
 
-    def sample(self, rng: np.random.Generator, size=None):
+    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         return self.inverse_cdf(rng.random(size=size))
 
     def _log_laplace_batch(self, rho: np.ndarray) -> np.ndarray:
@@ -569,10 +567,13 @@ class DensityGain(GainModel):
             cut *= 2.0
         raise ValueError("density tail mass does not decay; cannot truncate support")
 
-    def sample(self, rng: np.random.Generator, size=None):
+    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         return self._sampler.rvs(size, random_state=rng)
 
-    def _log_laplace(self, rho: float) -> float:
+    def _log_laplace_batch(self, rho: np.ndarray) -> np.ndarray:
+        return _elementwise(self._log_laplace_at)(rho)
+
+    def _log_laplace_at(self, rho: float) -> float:
         log_density = self._log_density
         peak = self._exponent_peak(rho)
         log_peak = log_density(peak)
@@ -724,11 +725,9 @@ def sample_cost(model: GainModel, rng: np.random.Generator, size=None):
     """Draw link costs log(1 + g*f), gains before fades.
 
     A float when ``size`` is None, else an ndarray.  The float is the one
-    cost of ``size=1``, bit for bit: its gain is drawn as an array too,
-    since a law's scalar draw may round differently (Pareto's float power
-    is libm's, its array power numpy's).  Raises ValueError, after the
-    gains are drawn and before the fades, unless every gain is a positive
-    finite real.
+    cost of ``size=1``, since a law draws its gains only as an array.
+    Raises ValueError, after the gains are drawn and before the fades,
+    unless every gain is a positive finite real.
     """
     if size is None:
         return float(sample_cost(model, rng, size=1)[0])

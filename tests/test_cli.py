@@ -370,7 +370,7 @@ _TEST_PID = os.getpid()
 class DyingGain(ExponentialGain):
     """Exponential gains whose draw kills any process but the test's own."""
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         if os.getpid() != _TEST_PID:
             os._exit(1)
         return super().sample(rng, size)

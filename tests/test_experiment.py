@@ -49,7 +49,7 @@ class FlakyGain(ExponentialGain):
     Defined at module level so that pool workers can unpickle it.
     """
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         gains = super().sample(rng, size)
         if np.ravel(gains)[0] < 0.05:
             raise RuntimeError("unlucky draw")
@@ -65,7 +65,7 @@ class PickyGain(ExponentialGain):
     unpickle it.
     """
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         context = int(rng.bit_generator.state["state"]["key"][1])
         n, replicate = context >> 32, (context >> 2) % 2**30
         if n == 5 or (n, replicate) == (3, 5):
@@ -84,7 +84,7 @@ class LoggedDrawGain(ParetoGain):
 
     log: str = ""
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         with open(self.log, "a") as log:
             log.write(f"{os.getpid()} {size[0]}\n")
         return super().sample(rng, size)
@@ -117,12 +117,12 @@ class TwoPointGain(GainModel):
 
     spec = "two-point"
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         return 1.0 + (rng.random(size=size) < 0.5)
 
-    def _log_laplace(self, rho):
+    def _log_laplace_batch(self, rho):
         # log of (exp(-rho) + exp(-rho/2)) / 2
-        return -0.5 * rho + math.log1p(math.exp(-0.5 * rho)) - math.log(2.0)
+        return -0.5 * rho + np.log1p(np.exp(-0.5 * rho)) - math.log(2.0)
 
     def _quantile_law(self, size):
         return math.log1p(2.0 * size)
@@ -141,18 +141,18 @@ class ScaledExponentialGain(GainModel):
     scale: float = 2.0
     spec = "scaled-exp"
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         return self.scale * rng.exponential(size=size)
 
-    def _log_laplace(self, rho):
-        return ExponentialGain()._log_laplace(rho / self.scale)
+    def _log_laplace_batch(self, rho):
+        return ExponentialGain()._log_laplace_batch(rho / self.scale)
 
 
 @dataclass(frozen=True)
 class NoFourGain(ExponentialGain):
     """Exponential gains that cannot be drawn as a 4 x 4 matrix."""
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         if size == (4, 4):
             raise RuntimeError("no 4 x 4 draw")
         return super().sample(rng, size)
@@ -162,7 +162,7 @@ class NoFourGain(ExponentialGain):
 class NoFiveNegativeThreeGain(ExponentialGain):
     """Exponential gains that cannot be drawn as 5 x 5 and come out negative as 3 x 3."""
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         if size == (5, 5):
             raise RuntimeError("no 5 x 5 draw")
         gains = super().sample(rng, size)
@@ -172,7 +172,7 @@ class NoFiveNegativeThreeGain(ExponentialGain):
 class _WatchedDraws:
     """Records, per gain draw, how many earlier draws are still alive, and the draw."""
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         gains = super().sample(rng, size)
         alive = sum(draw() is not None for _, draw in _DRAWS)
         _DRAWS.append((alive, weakref.ref(gains)))
@@ -196,15 +196,15 @@ _DRAWS: list = []
 class ShapelessGain(ExponentialGain):
     """Draws one row of gains where a matrix is asked for: shape (n,)."""
 
-    def sample(self, rng, size=None):
-        return super().sample(rng, size if size is None else size[0])
+    def sample(self, rng, size):
+        return super().sample(rng, size[0])
 
 
 @dataclass(frozen=True)
 class NegativeGain(ExponentialGain):
     """Draws gains in [-0.5, 0), where log(1 + g*f) is wrong or NaN."""
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         return -0.5 * (1.0 - rng.random(size=size))
 
 
@@ -226,13 +226,13 @@ class SharedArrayGain(GainModel):
 
     spec = "shared"
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         return _SHARED_GAINS
 
-    def _log_laplace(self, rho):
-        exponents = -rho / _SHARED_GAINS
-        top = float(exponents.max())
-        return top + math.log(float(np.mean(np.exp(exponents - top))))
+    def _log_laplace_batch(self, rho):
+        exponents = -rho[:, None] / _SHARED_GAINS.ravel()
+        top = exponents.max(axis=1)
+        return top + np.log(np.mean(np.exp(exponents - top[:, None]), axis=1))
 
 
 def _flat_density(y: float) -> float:
@@ -313,6 +313,20 @@ def test_config_validation() -> None:
         _config(replicates=2**30)
     with pytest.raises(ValueError, match="model must be a GainModel"):
         _config(model="exp")
+
+
+def test_config_defaults_to_seed_zero_annealed_in_process() -> None:
+    config = ExperimentConfig(model=ExponentialGain(), sizes=(3,), replicates=2)
+    assert (config.master_seed, config.mode, config.parallelism) == (0, "annealed", 1)
+
+
+def test_a_law_defined_inside_a_function_runs_only_in_process() -> None:
+    class LocalGain(ExponentialGain):
+        pass
+
+    with pytest.raises(ValueError, match="use parallelism=1 or define the law at module level"):
+        _config(model=LocalGain(), parallelism=2)
+    assert _config(model=LocalGain(), parallelism=1).parallelism == 1
 
 
 @pytest.mark.parametrize(
@@ -744,10 +758,10 @@ def test_mean_optimum_grows_with_size() -> None:
 
 def test_failed_replicate_aborts_with_location() -> None:
     class ExplodingGain(GainModel):
-        def sample(self, rng, size=None):
+        def sample(self, rng, size):
             raise RuntimeError("boom")
 
-        def _log_laplace(self, rho):
+        def _log_laplace_batch(self, rho):
             return -rho
 
     with pytest.raises(ReplicateError) as info:
@@ -1057,7 +1071,7 @@ class ConstantDrawGain(ExponentialGain):
 
     value: float = -1.0
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         return np.full(size, self.value)
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import inspect
 import math
 import pickle
 import sys
@@ -108,6 +109,11 @@ def test_transform_input_validation() -> None:
     assert model.log_laplace(math.inf) == -math.inf
     with pytest.raises(ValueError):
         model.log_laplace_asymptotic(0.0)
+    # The constant law's asymptotic form is defined at every rho, so only
+    # the check refuses these.
+    for rho in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive finite"):
+            ConstantGain(1.0).log_laplace_asymptotic(rho)
 
 
 def test_constant_transform_closed_form() -> None:
@@ -347,10 +353,11 @@ def test_transform_is_nonpositive_and_nonincreasing_at_every_scale(model) -> Non
 
 def test_log_laplace_clamps_a_positive_value_to_zero() -> None:
     class RoundedUp(ExponentialGain):
-        def _log_laplace(self, rho: float) -> float:
-            return 1e-14
+        def _log_laplace_batch(self, rho: np.ndarray) -> np.ndarray:
+            return np.full(rho.shape, 1e-14)
 
     assert RoundedUp().log_laplace(1e-20) == 0.0
+    assert RoundedUp()._log_laplace_values(np.array([1e-20, 1.0])).tolist() == [0.0, 0.0]
 
 
 def test_an_overflowing_integrand_raises_quadrature_error_naming_the_law() -> None:
@@ -430,34 +437,43 @@ class UnitGain(GainModel):
 
     spec = "unit"
 
-    def sample(self, rng, size=None):
-        return np.ones(size) if size is not None else 1.0
+    def sample(self, rng, size):
+        return np.ones(size)
 
-    def _log_laplace(self, rho):
+    def _log_laplace_batch(self, rho):
         return -rho
 
 
-def test_a_law_gives_its_transform_in_either_form() -> None:
+@pytest.mark.parametrize("law", [GainModel, ConstantGain, ExponentialGain, UniformGain,
+                                 ParetoGain, DensityGain, UnitGain], ids=lambda law: law.__name__)
+def test_a_law_draws_gains_only_as_an_array(law) -> None:
+    size = inspect.signature(law.sample).parameters["size"]
+    assert size.default is inspect.Parameter.empty
+
+
+def test_a_law_gives_its_transform_as_one_array_function() -> None:
     class NoTransform(GainModel):
         spec = "none"
 
-    with pytest.raises(NotImplementedError, match="NoTransform defines no transform"):
+    with pytest.raises(NotImplementedError, match="NoTransform lacks _log_laplace_batch"):
         NoTransform().log_laplace(1.0)
-    with pytest.raises(NotImplementedError, match="NoTransform defines no transform"):
+    with pytest.raises(NotImplementedError, match="NoTransform lacks _log_laplace_batch"):
         NoTransform()._log_laplace_values(np.array([1.0]))
-
-    class Halved(ExponentialGain):
-        def _log_laplace(self, rho: float) -> float:
-            return ExponentialGain().log_laplace(rho / 2.0)
-
+    # The transform at one rho is the batch at that point.
     rhos = np.array([1e-9, 0.5, 7.0, 1e4, 1e8])
-    # A scalar law, or a scalar override of a built-in one, answers a batch
-    # point by point; a built-in law's scalar form is its batch at one point.
     assert UnitGain()._log_laplace_values(rhos).tolist() == (-rhos).tolist()
-    assert Halved()._log_laplace_values(rhos).tolist() == [
-        ExponentialGain().log_laplace(rho / 2.0) for rho in rhos.tolist()]
+    assert [UnitGain().log_laplace(rho) for rho in rhos.tolist()] == (-rhos).tolist()
     assert ExponentialGain()._log_laplace_values(rhos).tolist() == [
         ExponentialGain().log_laplace(rho) for rho in rhos.tolist()]
+
+
+@pytest.mark.parametrize("name", ["_log_laplace", "log_laplace"])
+@pytest.mark.parametrize("parent", [GainModel, ExponentialGain, UnitGain],
+                         ids=lambda parent: parent.__name__)
+def test_a_law_with_a_scalar_transform_is_refused_when_it_is_defined(name, parent) -> None:
+    # Else its parent's transform, or none, would be solved in its place.
+    with pytest.raises(TypeError, match=f"Halved defines {name}: .* _log_laplace_batch"):
+        type("Halved", (parent,), {name: lambda self, rho: -rho / 2.0})
 
 
 def test_user_density_has_no_asymptotic_form() -> None:
@@ -549,8 +565,13 @@ def test_user_density_peak_search_past_the_density_raises_without_a_warning(r) -
 def test_user_density_must_be_normalized() -> None:
     with pytest.raises(ValueError):
         DensityGain(density=lambda y: 2.0, lower=1.0, upper=2.0)
-    with pytest.raises(ValueError):
-        DensityGain(density=lambda y: 1.0, lower=2.0, upper=1.0)
+
+
+@pytest.mark.parametrize("lower, upper", [(1.0, 1.0), (2.0, 1.0), (-1.0, 1.0),
+                                          (math.nan, 1.0), (0.0, math.nan)])
+def test_user_density_needs_a_support_of_positive_length(lower: float, upper: float) -> None:
+    with pytest.raises(ValueError, match="need 0 <= lower < upper"):
+        DensityGain(density=lambda y: 1.0, lower=lower, upper=upper)
 
 
 def test_user_density_whose_tail_mass_does_not_decay_is_refused() -> None:
@@ -609,7 +630,7 @@ def test_constant_sample_consumes_no_randomness() -> None:
     model = ConstantGain(1.7)
     rng = _rng(55)
     probe = _rng(55).random(16)
-    assert model.sample(rng) == 1.7
+    assert model.sample(rng, size=1).tolist() == [1.7]
     assert np.all(model.sample(rng, size=(3, 3)) == 1.7)
     assert np.array_equal(rng.random(16), probe)
 
@@ -764,7 +785,7 @@ def test_costs_keep_the_bytes_of_the_plain_formula(model, n: int) -> None:
     assert same_bytes(generate_cost_matrix(model, n, _rng(80 + n), gain_matrix=frozen),
                       expected)
     rng = _rng(7)
-    expected = math.log1p(model.sample(rng) * rng.exponential())
+    expected = np.log1p(model.sample(rng, size=1) * rng.exponential(size=1))[0]
     assert sample_cost(model, _rng(7)) == expected
 
 

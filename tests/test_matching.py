@@ -52,12 +52,9 @@ def test_assignment_value_takes_numpy_integer_permutations() -> None:
 
 
 def test_assignment_value_rejects_non_permutations() -> None:
-    with pytest.raises(ValueError):
-        assignment_value(DEMO, (0, 1, 1))
-    with pytest.raises(ValueError):
-        assignment_value(DEMO, (0, 1))
-    with pytest.raises(ValueError):
-        assignment_value(DEMO, (0, 1, 3))
+    for permutation in ((0, 1, 1), (0, 1), (0, 1, 3)):
+        with pytest.raises(ValueError, match=r"each column 0\.\.2 exactly once"):
+            assignment_value(DEMO, permutation)
 
 
 def test_brute_force_demo_matrix() -> None:

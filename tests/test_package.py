@@ -2,7 +2,7 @@
 
 Also what importing the package loads: scipy's quadrature, optimizers and
 samplers only where a command runs them, and what the command-line shell
-may import at all.
+may import at all.  And every python example of the README runs as shown.
 """
 
 from __future__ import annotations
@@ -10,9 +10,12 @@ from __future__ import annotations
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import logassign
 from golden.record import CELLS, HERE
@@ -99,6 +102,22 @@ def test_commands_without_quadrature_or_solver_load_neither(tmp_path) -> None:
         "    assert code in (0, None), (args, code)\n"
     )
     assert _loaded_after(tmp_path, script) == []
+
+
+_README = Path(__file__).resolve().parents[1] / "README.md"
+# Every fenced python block of the README, in order.
+_README_BLOCKS = re.findall(r"^```python\n(.*?)^```$", _README.read_text(), re.M | re.S)
+
+
+def test_the_readme_shows_its_examples_as_python_blocks() -> None:
+    assert len(_README_BLOCKS) >= 2
+
+
+@pytest.mark.parametrize("block", range(len(_README_BLOCKS)))
+def test_every_python_block_of_the_readme_runs(tmp_path, block: int) -> None:
+    # Warnings are errors here, as under the tests themselves.
+    completed = _fresh_python(tmp_path, "-W", "error", "-c", _README_BLOCKS[block])
+    assert completed.returncode == 0, completed.stderr
 
 
 def test_a_pooled_run_loads_the_solver_before_its_workers_start(tmp_path) -> None:

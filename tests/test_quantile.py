@@ -102,16 +102,16 @@ def test_quantile_grows_as_p_shrinks() -> None:
 
 
 class CountingGain(GainModel):
-    """A built-in law that counts its transform evaluations."""
+    """A built-in law that counts its transform evaluations, one per point."""
 
     def __init__(self, law: GainModel):
         self.law = law
         self.spec = law.spec
         self.calls = 0
 
-    def log_laplace(self, rho: float) -> float:
-        self.calls += 1
-        return self.law.log_laplace(rho)
+    def _log_laplace_batch(self, rho: np.ndarray) -> np.ndarray:
+        self.calls += rho.size
+        return self.law._log_laplace_batch(rho)
 
 
 # Unsorted, with repeats, and on both sides of Pareto's alpha + 700 cut.
@@ -257,10 +257,10 @@ class Doubled(UniformGain):
 
 
 class Scaled(ParetoGain):
-    """A built-in law with its scalar transform overridden."""
+    """A built-in law with its transform scaled."""
 
-    def log_laplace(self, rho: float) -> float:
-        return 1.5 * super().log_laplace(rho)
+    def _log_laplace_batch(self, rho):
+        return 1.5 * super()._log_laplace_batch(rho)
 
 
 @pytest.mark.parametrize("model,law", [(Doubled(), UniformGain()), (Scaled(2.5), ParetoGain(2.5))],
